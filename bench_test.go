@@ -132,11 +132,11 @@ func BenchmarkAblationGreedyDscale(b *testing.B) {
 			cfg.GreedySelect = greedy
 			var pct float64
 			for i := 0; i < b.N; i++ {
-				d, err := dualvdd.PrepareBenchmark("C880", cfg)
+				d, err := dualvdd.New(dualvdd.FromConfig(cfg)).PrepareBenchmark(context.Background(), "C880")
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := d.RunDscale()
+				res, err := d.RunAlgorithm(context.Background(), dualvdd.AlgoDscale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -160,11 +160,11 @@ func BenchmarkAblationGreedySizing(b *testing.B) {
 			cfg.GreedySizing = greedy
 			var pct, ratio float64
 			for i := 0; i < b.N; i++ {
-				d, err := dualvdd.PrepareBenchmark("C499", cfg)
+				d, err := dualvdd.New(dualvdd.FromConfig(cfg)).PrepareBenchmark(context.Background(), "C499")
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := d.RunGscale()
+				res, err := d.RunAlgorithm(context.Background(), dualvdd.AlgoGscale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -186,11 +186,11 @@ func BenchmarkAblationVlowSweep(b *testing.B) {
 			cfg.Vlow = vlow
 			var pct, ratio float64
 			for i := 0; i < b.N; i++ {
-				d, err := dualvdd.PrepareBenchmark("C880", cfg)
+				d, err := dualvdd.New(dualvdd.FromConfig(cfg)).PrepareBenchmark(context.Background(), "C880")
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := d.RunGscale()
+				res, err := d.RunAlgorithm(context.Background(), dualvdd.AlgoGscale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -211,11 +211,11 @@ func BenchmarkAblationMaxIter(b *testing.B) {
 			cfg.MaxIter = maxIter
 			var pct float64
 			for i := 0; i < b.N; i++ {
-				d, err := dualvdd.PrepareBenchmark("alu2", cfg)
+				d, err := dualvdd.New(dualvdd.FromConfig(cfg)).PrepareBenchmark(context.Background(), "alu2")
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := d.RunGscale()
+				res, err := d.RunAlgorithm(context.Background(), dualvdd.AlgoGscale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -235,7 +235,7 @@ func BenchmarkAblationMaxIter(b *testing.B) {
 func BenchmarkSim(b *testing.B) {
 	cfg := dualvdd.DefaultConfig()
 	for _, name := range []string{"C880", "alu4", "des"} {
-		d, err := dualvdd.PrepareBenchmark(name, cfg)
+		d, err := dualvdd.New(dualvdd.FromConfig(cfg)).PrepareBenchmark(context.Background(), name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func BenchmarkSim(b *testing.B) {
 func BenchmarkIncrementalSTA(b *testing.B) {
 	cfg := dualvdd.DefaultConfig()
 	for _, name := range []string{"C880", "alu2", "des"} {
-		d, err := dualvdd.PrepareBenchmark(name, cfg)
+		d, err := dualvdd.New(dualvdd.FromConfig(cfg)).PrepareBenchmark(context.Background(), name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,34 +332,34 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 // in the underlying engines are visible independently of the full flow.
 func BenchmarkSubstrates(b *testing.B) {
 	cfg := dualvdd.DefaultConfig()
-	d, err := dualvdd.PrepareBenchmark("alu4", cfg)
+	d, err := dualvdd.New(dualvdd.FromConfig(cfg)).PrepareBenchmark(context.Background(), "alu4")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("PrepareC880", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dualvdd.PrepareBenchmark("C880", cfg); err != nil {
+			if _, err := dualvdd.New(dualvdd.FromConfig(cfg)).PrepareBenchmark(context.Background(), "C880"); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("CVS-alu4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := d.RunCVS(); err != nil {
+			if _, err := d.RunAlgorithm(context.Background(), dualvdd.AlgoCVS); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Dscale-alu4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := d.RunDscale(); err != nil {
+			if _, err := d.RunAlgorithm(context.Background(), dualvdd.AlgoDscale); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Gscale-alu4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := d.RunGscale(); err != nil {
+			if _, err := d.RunAlgorithm(context.Background(), dualvdd.AlgoGscale); err != nil {
 				b.Fatal(err)
 			}
 		}

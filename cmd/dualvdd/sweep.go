@@ -24,13 +24,11 @@ import (
 //	dualvdd sweep -bench rot,C7552,des -vddl 3.0:4.5:0.25 -out csv
 //	dualvdd sweep -bench C880 -vddl 3.9,4.3 -slack 1.1:1.4:0.1 -pareto
 //	dualvdd sweep -bench des -addr http://127.0.0.1:8080 -progress
-//	dualvdd sweep -bench rot,C7552 -vddl 3.1:4.7:0.2 -warm
 //	dualvdd sweep -bench C880 -rails "5.0,4.3;5.0,4.3,3.6"
 //
-// -warm shares each circuit's prepared state (mapping, baseline timing
-// analysis, switching activities) across the whole grid and re-converges
-// only the low rail per point — bit-identical results, a fraction of the
-// work. It is an in-process optimization and cannot be combined with -addr.
+// In process, each circuit's prepared state (mapping, baseline timing
+// analysis, switching activities) is shared across its points, which
+// re-converge only their rails.
 //
 // Axis flags accept either a comma list ("4.3,4.1,3.9") or an inclusive
 // range "lo:hi:step"; -algos takes comma-separated sets whose members join
@@ -53,7 +51,6 @@ func runSweep(args []string) {
 	out := fs.String("out", "table", "output format: table, json or csv")
 	addr := fs.String("addr", "", "run against a remote dualvdd serve at this base URL instead of in-process")
 	workers := fs.Int("workers", 0, "in-process job workers (0 = GOMAXPROCS); ignored with -addr")
-	warm := fs.Bool("warm", false, "share prepared state (mapping, baseline timing, activities) across each circuit's points; in-process only")
 	inflight := fs.Int("inflight", 0, "points submitted to the runner at once (0 = default)")
 	progress := fs.Bool("progress", false, "stream per-point progress to stderr")
 	timeout := fs.Duration("timeout", 0, "abort the sweep after this duration (0 = no limit)")
@@ -111,11 +108,7 @@ func runSweep(args []string) {
 	}
 
 	var runner dualvdd.Runner
-	var local *dualvdd.Local
 	if *addr != "" {
-		if *warm {
-			fatal(fmt.Errorf("-warm shares in-process prepared state and cannot be combined with -addr"))
-		}
 		c, dialErr := client.New(*addr)
 		if dialErr != nil {
 			fatal(dialErr)
@@ -125,12 +118,7 @@ func runSweep(args []string) {
 		}
 		runner = c
 	} else {
-		lopts := []dualvdd.LocalOption{dualvdd.LocalWorkers(localWorkers(*workers))}
-		if *warm {
-			// One resident prepared group per circuit keeps every chain warm.
-			lopts = append(lopts, dualvdd.LocalWarmPrep(len(sweep.Circuits)))
-		}
-		local = dualvdd.NewLocal(lopts...)
+		local := dualvdd.NewLocal(dualvdd.LocalWorkers(localWorkers(*workers)))
 		defer func() {
 			cctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
@@ -140,9 +128,6 @@ func runSweep(args []string) {
 	}
 
 	opts := []dualvdd.SweepOption{}
-	if *warm {
-		opts = append(opts, dualvdd.SweepWarm(true))
-	}
 	if *inflight > 0 {
 		opts = append(opts, dualvdd.SweepInFlight(*inflight))
 	}
@@ -175,11 +160,6 @@ func runSweep(args []string) {
 	results, err := sweep.Run(ctx, runner, opts...)
 	if err != nil {
 		fatal(err)
-	}
-	if *warm && local != nil {
-		m := local.Metrics()
-		fmt.Fprintf(os.Stderr, "warm prep: %d groups built, %d runs reused them\n",
-			m.PrepBuilds, m.PrepReuses)
 	}
 	res := report.BuildSweep(results)
 	if *pareto {

@@ -12,31 +12,21 @@
 // See internal/core for the algorithmics and DESIGN.md for the full map
 // from the paper to this repository.
 //
-// The primary surface is the context-aware Flow, built with functional
-// options; it supports cancellation, deadlines and typed progress events,
-// and composes with Batch for parallel suite evaluation:
+// The surface is the context-aware Flow, built with functional options; it
+// supports cancellation, deadlines and typed progress events, and composes
+// with Batch for parallel suite evaluation:
 //
 //	flow := dualvdd.New(
 //		dualvdd.WithVoltages(5.0, 4.3),
 //		dualvdd.WithObserver(func(ev dualvdd.Event) { ... }),
 //	)
 //	d, err := flow.PrepareBenchmark(ctx, "C880")
-//	res, err := d.RunGscaleContext(ctx)
+//	res, err := d.RunAlgorithm(ctx, dualvdd.AlgoGscale)
 //	fmt.Printf("%.2f%% power saved\n", res.ImprovePct)
 //
-// # Migration from Config
-//
-// The flat Config struct and the context-free entry points predate Flow and
-// remain as thin compatibility wrappers: Prepare(net, cfg) is
-// New(FromConfig(cfg)).Prepare(context.Background(), net), and
-// Design.RunGscale is RunGscaleContext(context.Background()). New code
-// should build a Flow with options — FromConfig bridges code that still
-// assembles a Config. Each With* option corresponds to one Config field
-// (WithVoltages ↔ Vhigh/Vlow, WithSlackFactor ↔ SlackFactor, WithAreaBudget
-// ↔ MaxAreaIncrease, WithMaxIter ↔ MaxIter, WithSimWords ↔ SimWords,
-// WithSimWorkers ↔ SimWorkers, WithSeed ↔ Seed, WithClock ↔ Fclk,
-// WithGreedySelect/WithGreedySizing ↔ the ablation knobs); WithAlgorithms
-// and WithObserver have no Config counterpart.
+// Code that assembles a flat Config passes it through FromConfig. Every
+// algorithm run — one-shot through Flow.Run, or one point of a warm sweep
+// through WarmDesign.RunAt — takes the same execution path.
 package dualvdd
 
 import (
@@ -228,25 +218,15 @@ type Design struct {
 	// act is the baseline per-signal switching activity from the original
 	// power measurement. Activities depend only on the logic, the seed and
 	// the word count — never on voltages — so the table prepared here serves
-	// every point of a warm sweep.
+	// every run of the design, at any rails.
 	act []float64
 
 	cfg Config
 	obs Observer
 }
 
-// Prepare maps a logic network and measures its original power.
-// Compatibility wrapper; new code uses Flow.Prepare or PrepareContext.
-func Prepare(net *logic.Network, cfg Config) (*Design, error) {
-	return PrepareContext(context.Background(), net, cfg)
-}
-
-// PrepareContext is Prepare honoring a context: cancellation is checked
-// between the pipeline's stages (mapping, power measurement).
-func PrepareContext(ctx context.Context, net *logic.Network, cfg Config) (*Design, error) {
-	return prepare(ctx, net, cfg, nil)
-}
-
+// prepare maps a logic network and measures its original power and baseline
+// activity table; the context is checked between the pipeline's stages.
 func prepare(ctx context.Context, net *logic.Network, cfg Config, obs Observer) (*Design, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -285,34 +265,6 @@ func prepare(ctx context.Context, net *logic.Network, cfg Config, obs Observer) 
 		MinDelay: d.MinDelay, Tspec: d.Tspec, OrgPower: d.OrgPower,
 	})
 	return d, nil
-}
-
-// PrepareBenchmark generates one of the 39 MCNC stand-in benchmarks and
-// prepares it. Compatibility wrapper; new code uses Flow.PrepareBenchmark.
-func PrepareBenchmark(name string, cfg Config) (*Design, error) {
-	return prepareBenchmark(context.Background(), name, cfg, nil)
-}
-
-func prepareBenchmark(ctx context.Context, name string, cfg Config, obs Observer) (*Design, error) {
-	net, err := mcnc.Generate(name)
-	if err != nil {
-		return nil, err
-	}
-	return prepare(ctx, net, cfg, obs)
-}
-
-// LoadBLIF reads a technology-independent BLIF model and prepares it.
-// Compatibility wrapper; new code uses Flow.LoadBLIF.
-func LoadBLIF(r io.Reader, cfg Config) (*Design, error) {
-	return loadBLIF(context.Background(), r, cfg, nil)
-}
-
-func loadBLIF(ctx context.Context, r io.Reader, cfg Config, obs Observer) (*Design, error) {
-	net, err := blif.ParseNetwork(r)
-	if err != nil {
-		return nil, err
-	}
-	return prepare(ctx, net, cfg, obs)
 }
 
 // Benchmarks lists the 39 circuit names of the paper's test bed. The list is
@@ -362,8 +314,9 @@ type FlowResult struct {
 	// other algorithms); a full per-round rescan would pay roughly
 	// gates × rounds. See core.Result.CandEvals.
 	CandEvals int64 `json:"cand_evals"`
-	// SimTime is the wall clock spent in logic simulation: the algorithm's
-	// own activity estimation plus the final power measurement.
+	// SimTime is the wall clock spent in logic simulation during the run.
+	// Every run reads power from the design's baseline activity table, so
+	// the flow reports 0; the field stays for wire compatibility.
 	SimTime time.Duration `json:"sim_ns"`
 	// RailGates counts live ordinary gates per rail index (RailGates[i] =
 	// gates at rail i of Config.RailList) and LCCross breaks the level
@@ -438,48 +391,61 @@ func coreObserver(circuit string, obs Observer) core.Observer {
 	}
 }
 
-func (d *Design) run(ctx context.Context, name string, algo func(*netlist.Circuit, *cell.Library, core.Options) (*core.Result, error)) (*FlowResult, error) {
+// runOne is the one execution path of every algorithm run. On an engine
+// whose annotation is settled for ckt it runs the algorithm's entry point
+// with the design's baseline activity table, verifies the constraint with a
+// fresh full analysis — verify, don't trust — reads power from the run's
+// activity table, and emits the result. Flow runs call it on a fresh clone
+// and engine and hand the scaled clone out (keep); warm runs call it inside a
+// Checkpoint/Rollback fence on the shared engine, whose circuit is rolled
+// back, so their results carry no netlist.
+func (d *Design) runOne(ctx context.Context, inc *sta.Incremental, ckt *netlist.Circuit, algo Algorithm, obs Observer, keep bool) (*FlowResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var run func(*sta.Incremental, *netlist.Circuit, *cell.Library, core.Options) (*core.Result, error)
+	switch algo {
+	case AlgoCVS:
+		run = core.RunCVSOn
+	case AlgoDscale:
+		run = core.DscaleOn
+	case AlgoGscale:
+		run = core.GscaleOn
+	default:
+		return nil, fmt.Errorf("dualvdd: unknown algorithm %q", algo)
+	}
+	lib := inc.Library()
 	opts := d.coreOptions()
 	opts.Ctx = ctx
-	opts.Observer = coreObserver(d.Name, d.obs)
-	ckt := d.Circuit.Clone()
+	opts.Observer = coreObserver(d.Name, obs)
+	opts.Activities = d.act
 	start := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	cres, err := algo(ckt, d.Lib, opts)
+	cres, err := run(inc, ckt, lib, opts)
 	if err != nil {
 		// A cancelled or expired context surfaces as exactly ctx.Err(),
 		// unwrapped, so callers can compare against context.Canceled.
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
 		}
-		return nil, fmt.Errorf("dualvdd: %s on %s: %w", name, d.Name, err)
+		return nil, fmt.Errorf("dualvdd: %s on %s: %w", algo, d.Name, err)
 	}
 	elapsed := time.Since(start) //lint:wallclock-ok timing metric only; never feeds results
 	// The constraint must hold after every algorithm — verify, don't trust.
-	t, err := sta.Analyze(ckt, d.Lib, d.Tspec)
+	t, err := sta.Analyze(ckt, lib, d.Tspec)
 	if err != nil {
 		return nil, err
 	}
 	if !t.Meets(1e-6) {
 		return nil, fmt.Errorf("dualvdd: %s on %s violated timing: %.4f > %.4f",
-			name, d.Name, t.WorstArrival, d.Tspec)
+			algo, d.Name, t.WorstArrival, d.Tspec)
 	}
-	simStart := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	pb, _, err := power.EstimateRandomParallel(ckt, d.Lib, d.cfg.SimWords, d.cfg.Seed, d.cfg.Fclk, d.cfg.SimWorkers)
-	if err != nil {
-		return nil, err
-	}
-	simTime := cres.SimTime + time.Since(simStart) //lint:wallclock-ok timing metric only; never feeds results
-	gates := 0
-	for _, g := range ckt.Gates {
-		if !g.Dead && !g.IsLC {
-			gates++
-		}
-	}
+	// Activities are a property of the logic alone, and inserted level
+	// converters alias their source's, so the run's table prices the scaled
+	// circuit exactly as a fresh simulation would.
+	pb := power.Estimate(ckt, lib, cres.Act, d.cfg.Fclk)
+	gates := ckt.NumLiveGates() - ckt.NumLCs()
 	fr := &FlowResult{
-		Algorithm:    name,
+		Algorithm:    string(algo),
 		Power:        pb.Total,
 		ImprovePct:   (d.OrgPower - pb.Total) / d.OrgPower * 100,
 		Gates:        gates,
@@ -491,52 +457,16 @@ func (d *Design) run(ctx context.Context, name string, algo func(*netlist.Circui
 		Runtime:      elapsed,
 		STAEvals:     cres.STAEvals,
 		CandEvals:    cres.CandEvals,
-		SimTime:      simTime,
-		Circuit:      ckt,
+	}
+	if keep {
+		fr.Circuit = ckt
 	}
 	if gates > 0 {
 		fr.LowRatio = float64(fr.LowGates) / float64(gates)
 	}
-	railBreakdown(fr, ckt, d.Lib)
-	d.obs.emit(EventResult{Circuit: d.Name, Result: fr})
+	railBreakdown(fr, ckt, lib)
+	obs.emit(EventResult{Circuit: d.Name, Result: fr})
 	return fr, nil
-}
-
-// RunCVS applies clustered voltage scaling to a clone of the design.
-// Compatibility wrapper around RunCVSContext.
-func (d *Design) RunCVS() (*FlowResult, error) {
-	return d.RunCVSContext(context.Background())
-}
-
-// RunCVSContext is RunCVS honoring a context: a cancelled or expired context
-// aborts the sweep promptly and returns ctx.Err(). The design's pristine
-// Circuit is never touched — algorithms run on clones.
-func (d *Design) RunCVSContext(ctx context.Context) (*FlowResult, error) {
-	return d.run(ctx, "CVS", core.RunCVS)
-}
-
-// RunDscale applies the paper's Dscale algorithm to a clone of the design.
-// Compatibility wrapper around RunDscaleContext.
-func (d *Design) RunDscale() (*FlowResult, error) {
-	return d.RunDscaleContext(context.Background())
-}
-
-// RunDscaleContext is RunDscale honoring a context: a cancelled or expired
-// context aborts within one slack-harvesting round with ctx.Err().
-func (d *Design) RunDscaleContext(ctx context.Context) (*FlowResult, error) {
-	return d.run(ctx, "Dscale", core.Dscale)
-}
-
-// RunGscale applies the paper's Gscale algorithm to a clone of the design.
-// Compatibility wrapper around RunGscaleContext.
-func (d *Design) RunGscale() (*FlowResult, error) {
-	return d.RunGscaleContext(context.Background())
-}
-
-// RunGscaleContext is RunGscale honoring a context: a cancelled or expired
-// context aborts within one TCB push with ctx.Err().
-func (d *Design) RunGscaleContext(ctx context.Context) (*FlowResult, error) {
-	return d.run(ctx, "Gscale", core.Gscale)
 }
 
 // WriteBLIF exports a mapped (possibly scaled) circuit as .gate-form BLIF

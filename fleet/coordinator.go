@@ -501,9 +501,8 @@ func (c *Coordinator) Submit(ctx context.Context, job dualvdd.Job) (dualvdd.JobI
 		c.metrics.CacheHits++
 		c.metrics.JobsDone++
 		c.mu.Unlock()
-		j.completeFromCache(entry)
 		c.admission.release(tenant)
-		c.retire(j)
+		c.completeFromCache(j, entry)
 		return id, nil
 	}
 	c.metrics.CacheMisses++
@@ -522,13 +521,14 @@ func (c *Coordinator) Submit(ctx context.Context, job dualvdd.Job) (dualvdd.JobI
 
 // completeFromCache finishes a job with a cached result, replaying the same
 // synthetic event history Local does.
-func (j *fleetJob) completeFromCache(entry *dualvdd.CachedResult) {
+func (c *Coordinator) completeFromCache(j *fleetJob, entry *dualvdd.CachedResult) {
 	design := *entry.Design
+	st := *j.snapshot()
+	st.State = dualvdd.JobDone
+	st.Cached = true
+	st.Design = &design
+	st.Results = entry.Results
 	j.mu.Lock()
-	j.status.State = dualvdd.JobDone
-	j.status.Cached = true
-	j.status.Design = &design
-	j.status.Results = entry.Results
 	j.events = append(j.events, dualvdd.EventMapped{
 		Circuit: design.Name, Gates: design.Gates,
 		MinDelay: design.MinDelay, Tspec: design.Tspec, OrgPower: design.OrgPower,
@@ -536,10 +536,9 @@ func (j *fleetJob) completeFromCache(entry *dualvdd.CachedResult) {
 	for _, res := range entry.Results {
 		j.events = append(j.events, dualvdd.EventResult{Circuit: design.Name, Result: res})
 	}
-	j.bump()
 	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
+	c.retire(j, st)
+	j.finish(st)
 }
 
 // drive owns one job end to end: dispatch to the ring-chosen worker, relay
@@ -687,7 +686,6 @@ func (c *Coordinator) runOn(w *workerState, j *fleetJob) (bool, error) {
 		j.mu.Lock()
 		j.status.Design = st.Design
 		j.status.Results = st.Results
-		j.status.Warm = st.Warm
 		j.mu.Unlock()
 		c.accountResults(st)
 		c.finalize(j, dualvdd.JobDone, "")
@@ -741,17 +739,14 @@ func (j *fleetJob) markRunning(c *Coordinator) {
 	c.mu.Unlock()
 }
 
-// finalize publishes the terminal state, settles the gauges, journals the
-// record and releases the tenant's admission slot.
+// finalize settles the gauges, releases the tenant's admission slot, retires
+// the job and then publishes its terminal state. The result cache is already
+// written (runOn puts before it finalizes).
 func (c *Coordinator) finalize(j *fleetJob, state dualvdd.JobState, errMsg string) {
-	j.mu.Lock()
-	wasRunning := j.status.State == dualvdd.JobRunning
-	j.status.State = state
-	j.status.Error = errMsg
-	j.bump()
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
+	st := *j.snapshot()
+	wasRunning := st.State == dualvdd.JobRunning
+	st.State = state
+	st.Error = errMsg
 
 	c.mu.Lock()
 	if wasRunning {
@@ -770,14 +765,18 @@ func (c *Coordinator) finalize(j *fleetJob, state dualvdd.JobState, errMsg strin
 	}
 	c.mu.Unlock()
 	c.admission.release(j.tenant)
-	c.retire(j)
+	c.retire(j, st)
+	j.finish(st)
 }
 
-// retire journals the terminal record and enforces the history bound.
-func (c *Coordinator) retire(j *fleetJob) {
+// retire journals the terminal status, releases the in-flight slot and
+// enforces the history bound — before the status is published, so whoever
+// observes it and resubmits finds the cache entry instead of deduping onto
+// the finished job.
+func (c *Coordinator) retire(j *fleetJob, st dualvdd.JobStatus) {
 	j.spec.BLIF = ""
 	if c.journal != nil {
-		if err := c.journal.Append(dualvdd.JobRecord{Seq: j.seq, Key: j.key, Status: *j.snapshot()}); err != nil {
+		if err := c.journal.Append(dualvdd.JobRecord{Seq: j.seq, Key: j.key, Status: st}); err != nil {
 			c.mu.Lock()
 			c.metrics.StoreErrors++
 			c.mu.Unlock()
@@ -786,10 +785,10 @@ func (c *Coordinator) retire(j *fleetJob) {
 	c.mu.Lock()
 	// The job is terminal: later identical submissions must start fresh (or
 	// hit the result cache), not adopt this carcass.
-	if cur, ok := c.inflight[j.key]; ok && cur == j.status.ID {
+	if cur, ok := c.inflight[j.key]; ok && cur == st.ID {
 		delete(c.inflight, j.key)
 	}
-	c.retired = append(c.retired, j.status.ID)
+	c.retired = append(c.retired, st.ID)
 	for len(c.retired) > c.history {
 		delete(c.jobs, c.retired[0])
 		c.retired = c.retired[1:]
@@ -843,6 +842,17 @@ func (c *Coordinator) replayJournal() {
 func (j *fleetJob) bump() {
 	close(j.update)
 	j.update = make(chan struct{})
+}
+
+// finish publishes a terminal status: Watch subscribers wake and Result
+// returns.
+func (j *fleetJob) finish(st dualvdd.JobStatus) {
+	j.mu.Lock()
+	j.status = st
+	j.bump()
+	j.mu.Unlock()
+	j.cancel()
+	close(j.done)
 }
 
 // publish appends one event to the job's log.

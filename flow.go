@@ -2,10 +2,12 @@ package dualvdd
 
 import (
 	"context"
-	"fmt"
 	"io"
 
+	"dualvdd/internal/blif"
 	"dualvdd/internal/logic"
+	"dualvdd/internal/mcnc"
+	"dualvdd/internal/sta"
 )
 
 // Algorithm names one of the paper's scaling algorithms.
@@ -156,12 +158,20 @@ func (f *Flow) Prepare(ctx context.Context, net *logic.Network) (*Design, error)
 // PrepareBenchmark generates one of the 39 MCNC stand-in benchmarks and
 // prepares it.
 func (f *Flow) PrepareBenchmark(ctx context.Context, name string) (*Design, error) {
-	return prepareBenchmark(ctx, name, f.cfg, f.obs)
+	net, err := mcnc.Generate(name)
+	if err != nil {
+		return nil, err
+	}
+	return f.Prepare(ctx, net)
 }
 
 // LoadBLIF reads a technology-independent BLIF model and prepares it.
 func (f *Flow) LoadBLIF(ctx context.Context, r io.Reader) (*Design, error) {
-	return loadBLIF(ctx, r, f.cfg, f.obs)
+	net, err := blif.ParseNetwork(r)
+	if err != nil {
+		return nil, err
+	}
+	return f.Prepare(ctx, net)
 }
 
 // Run executes the Flow's configured algorithms on the design, each on a
@@ -180,15 +190,16 @@ func (f *Flow) Run(ctx context.Context, d *Design) ([]*FlowResult, error) {
 	return results, nil
 }
 
-// RunAlgorithm runs one named algorithm on a clone of the design.
+// RunAlgorithm runs one named algorithm on a fresh clone of the design, with
+// a fresh incremental timing engine, and hands the scaled clone out as the
+// result's Circuit. The design's pristine Circuit is never touched. A
+// cancelled or expired context aborts within one algorithm iteration and
+// returns ctx.Err().
 func (d *Design) RunAlgorithm(ctx context.Context, algo Algorithm) (*FlowResult, error) {
-	switch algo {
-	case AlgoCVS:
-		return d.RunCVSContext(ctx)
-	case AlgoDscale:
-		return d.RunDscaleContext(ctx)
-	case AlgoGscale:
-		return d.RunGscaleContext(ctx)
+	ckt := d.Circuit.Clone()
+	inc, err := sta.NewIncremental(ckt, d.Lib, d.Tspec)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("dualvdd: unknown algorithm %q", algo)
+	return d.runOne(ctx, inc, ckt, algo, d.obs, true)
 }

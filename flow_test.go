@@ -45,43 +45,56 @@ func TestFlowOptionsResolveToConfig(t *testing.T) {
 }
 
 func TestFlowMatchesLegacyConfigAPI(t *testing.T) {
-	// The Flow surface is a re-plumbing, not a re-computation: results must
-	// be bit-identical to the legacy Config path.
+	// A Flow seeded from a flat Config and one built from the equivalent
+	// options are the same pipeline: both run all three algorithms by
+	// default and match the reference composition bit for bit, scaled
+	// netlists included.
 	ctx := context.Background()
 	cfg := dualvdd.DefaultConfig()
-
-	old, err := dualvdd.PrepareBenchmark("x2", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flow := dualvdd.New(dualvdd.FromConfig(cfg))
-	d, err := flow.PrepareBenchmark(ctx, "x2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.OrgPower != old.OrgPower || d.Tspec != old.Tspec || d.MinDelay != old.MinDelay {
-		t.Fatalf("prepared designs differ: %+v vs %+v", d, old)
-	}
-
-	results, err := flow.Run(ctx, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("default Flow must run all three algorithms, got %d results", len(results))
-	}
-	legacy := []func() (*dualvdd.FlowResult, error){old.RunCVS, old.RunDscale, old.RunGscale}
-	for i, run := range legacy {
-		want, err := run()
+	cfg.SimWords = 64
+	for _, flow := range []*dualvdd.Flow{
+		dualvdd.New(dualvdd.FromConfig(cfg)),
+		dualvdd.New(dualvdd.WithSimWords(64)),
+	} {
+		if !reflect.DeepEqual(flow.Config(), cfg) {
+			t.Fatalf("flow config %+v, want %+v", flow.Config(), cfg)
+		}
+		d, err := flow.PrepareBenchmark(ctx, "x2")
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := results[i]
-		if got.Algorithm != want.Algorithm || got.Power != want.Power ||
-			got.ImprovePct != want.ImprovePct || got.LowGates != want.LowGates ||
-			got.LCs != want.LCs || got.Sized != want.Sized || got.STAEvals != want.STAEvals {
-			t.Fatalf("%s: Flow result diverged from legacy API:\n%+v\n%+v",
-				want.Algorithm, got, want)
+		results, err := flow.Run(ctx, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 3 {
+			t.Fatalf("default Flow must run all three algorithms, got %d results", len(results))
+		}
+		for i, algo := range dualvdd.Algorithms() {
+			requireReference(t, string(algo), referenceRun(t, d, cfg, d.Lib, algo), results[i])
+		}
+	}
+}
+
+func TestFlowRunGscaleWithoutFiniteSeparator(t *testing.T) {
+	// At (5.0, 3.7) Gscale meets critical path networks on C1355 and C499
+	// whose every node is fixed: no finite separator exists, and enough
+	// uncuttable paths once wrapped the max-flow total into a fake finite
+	// cut that panicked the run. Gscale must skip the push and finish, and
+	// every result must match the reference composition.
+	ctx := context.Background()
+	flow := dualvdd.New(dualvdd.WithVoltages(5.0, 3.7), dualvdd.WithSimWords(16))
+	for _, name := range []string{"C1355", "C499"} {
+		d, err := flow.PrepareBenchmark(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := flow.Run(ctx, d)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, algo := range dualvdd.Algorithms() {
+			requireReference(t, name+"/"+string(algo), referenceRun(t, d, flow.Config(), d.Lib, algo), results[i])
 		}
 	}
 }
@@ -186,7 +199,7 @@ func TestRunContextCancelMidGscale(t *testing.T) {
 	}
 	before := d.Circuit.CollectStats()
 
-	_, err = d.RunGscaleContext(ctx)
+	_, err = d.RunAlgorithm(ctx, dualvdd.AlgoGscale)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Gscale returned %v, want context.Canceled", err)
 	}
@@ -197,7 +210,7 @@ func TestRunContextCancelMidGscale(t *testing.T) {
 		t.Fatalf("cancellation corrupted the pristine circuit: %+v -> %+v", before, after)
 	}
 	// The design stays usable: a fresh context completes normally.
-	res, err := d.RunGscaleContext(context.Background())
+	res, err := d.RunAlgorithm(context.Background(), dualvdd.AlgoGscale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,21 +221,19 @@ func TestRunContextCancelMidGscale(t *testing.T) {
 
 func TestRunContextAlreadyCancelled(t *testing.T) {
 	cfg := dualvdd.DefaultConfig()
-	d, err := dualvdd.PrepareBenchmark("z4ml", cfg)
+	d, err := dualvdd.New(dualvdd.FromConfig(cfg)).PrepareBenchmark(context.Background(), "z4ml")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, run := range []func(context.Context) (*dualvdd.FlowResult, error){
-		d.RunCVSContext, d.RunDscaleContext, d.RunGscaleContext,
-	} {
-		if _, err := run(ctx); !errors.Is(err, context.Canceled) {
+	for _, algo := range dualvdd.Algorithms() {
+		if _, err := d.RunAlgorithm(ctx, algo); !errors.Is(err, context.Canceled) {
 			t.Fatalf("pre-cancelled context: got %v, want context.Canceled", err)
 		}
 	}
-	if _, err := dualvdd.PrepareContext(ctx, nil, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PrepareContext ignored cancelled context: %v", err)
+	if _, err := dualvdd.New(dualvdd.FromConfig(cfg)).Prepare(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Prepare ignored cancelled context: %v", err)
 	}
 }
 

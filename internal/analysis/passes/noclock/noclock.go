@@ -1,7 +1,7 @@
 // Package noclock flags wall-clock reads (time.Now, time.Since, time.After,
 // time.Tick, time.NewTimer, time.NewTicker) and any use of math/rand or
 // math/rand/v2 in the algorithm path. Seed-replay (CHAOS_SEED, sweep
-// resume, warm/cold differentials) only works because the algorithm path is
+// resume, reference-composition differentials) only works because the algorithm path is
 // a pure function of its inputs and the injected seed; an unseeded random
 // source or a wall-clock read there breaks replay in ways the differential
 // tests can only catch probabilistically.

@@ -36,6 +36,17 @@ func buildChainTree(depth int) *netlist.Circuit {
 	return c
 }
 
+// runFresh runs one algorithm entry point on a fresh incremental engine over
+// ckt, the way a single standalone run does.
+func runFresh(run func(*sta.Incremental, *netlist.Circuit, *cell.Library, Options) (*Result, error),
+	ckt *netlist.Circuit, l *cell.Library, opts Options) (*Result, error) {
+	inc, err := sta.NewIncremental(ckt, l, opts.Tspec)
+	if err != nil {
+		return nil, err
+	}
+	return run(inc, ckt, l, opts)
+}
+
 // tspecOf returns the circuit's own critical delay (the paper's constraint).
 func tspecOf(t *testing.T, c *netlist.Circuit) float64 {
 	t.Helper()
@@ -156,7 +167,7 @@ func TestDscaleInvariants(t *testing.T) {
 		opts := DefaultOptions(tspec)
 		opts.SimWords = 32
 		before := measurePower(t, c, opts)
-		res, err := Dscale(c, lib, opts)
+		res, err := runFresh(DscaleOn, c, lib, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -238,7 +249,7 @@ func TestDscaleBeatsOrEqualsCVS(t *testing.T) {
 		if _, err := CVS(c1, lib, tspec, opts.Eps); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Dscale(c2, lib, opts); err != nil {
+		if _, err := runFresh(DscaleOn, c2, lib, opts); err != nil {
 			t.Fatal(err)
 		}
 		pCVS := measurePower(t, c1, opts)
@@ -261,7 +272,7 @@ func TestGscaleInvariants(t *testing.T) {
 		areaBefore := c.Area()
 		opts := DefaultOptions(tspec)
 		opts.SimWords = 32
-		res, err := Gscale(c, lib, opts)
+		res, err := runFresh(GscaleOn, c, lib, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -312,7 +323,7 @@ func TestGscaleCreatesSlackOnBalancedTree(t *testing.T) {
 	}
 	opts := DefaultOptions(tspec)
 	opts.SimWords = 32
-	res, err := Gscale(c, lib, opts)
+	res, err := runFresh(GscaleOn, c, lib, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +341,7 @@ func TestGscaleRespectsTinyAreaBudget(t *testing.T) {
 	opts.SimWords = 32
 	opts.MaxAreaIncrease = 0.005 // nearly nothing
 	areaBefore := c.Area()
-	if _, err := Gscale(c, lib, opts); err != nil {
+	if _, err := runFresh(GscaleOn, c, lib, opts); err != nil {
 		t.Fatal(err)
 	}
 	if grow := c.Area()/areaBefore - 1; grow > 0.005+1e-9 {
@@ -344,7 +355,7 @@ func TestGscaleMaxIterZeroStillRunsCVS(t *testing.T) {
 	opts := DefaultOptions(tspec)
 	opts.SimWords = 16
 	opts.MaxIter = 0
-	res, err := Gscale(c, lib, opts)
+	res, err := runFresh(GscaleOn, c, lib, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,10 +453,10 @@ func TestGreedySelectNeverBeatsMWIS(t *testing.T) {
 		optsM.SimWords = 32
 		optsG := optsM
 		optsG.GreedySelect = true
-		if _, err := Dscale(c1, lib, optsM); err != nil {
+		if _, err := runFresh(DscaleOn, c1, lib, optsM); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Dscale(c2, lib, optsG); err != nil {
+		if _, err := runFresh(DscaleOn, c2, lib, optsG); err != nil {
 			t.Fatal(err)
 		}
 		pM := measurePower(t, c1, optsM)
@@ -469,13 +480,13 @@ func TestAlgorithmsSelfCheckAgainstFullSTA(t *testing.T) {
 		opts := DefaultOptions(tspec)
 		opts.SimWords = 32
 		opts.SelfCheck = true
-		if _, err := Dscale(c.Clone(), lib, opts); err != nil {
+		if _, err := runFresh(DscaleOn, c.Clone(), lib, opts); err != nil {
 			t.Fatalf("seed %d: Dscale self-check: %v", seed, err)
 		}
-		if _, err := Gscale(c.Clone(), lib, opts); err != nil {
+		if _, err := runFresh(GscaleOn, c.Clone(), lib, opts); err != nil {
 			t.Fatalf("seed %d: Gscale self-check: %v", seed, err)
 		}
-		if _, err := RunCVS(c.Clone(), lib, opts); err != nil {
+		if _, err := runFresh(RunCVSOn, c.Clone(), lib, opts); err != nil {
 			t.Fatalf("seed %d: CVS self-check: %v", seed, err)
 		}
 	}
@@ -491,21 +502,22 @@ func TestIncrementalPathMatchesReferenceResults(t *testing.T) {
 	tspec := 1.1 * tspecOf(t, c)
 	opts := DefaultOptions(tspec)
 	opts.SimWords = 32
-	run := func(algo func(*netlist.Circuit, *cell.Library, Options) (*Result, error)) (Result, Result) {
-		a, err := algo(c.Clone(), lib, opts)
+	type entry = func(*sta.Incremental, *netlist.Circuit, *cell.Library, Options) (*Result, error)
+	run := func(algo entry) (Result, Result) {
+		a, err := runFresh(algo, c.Clone(), lib, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chk := opts
 		chk.SelfCheck = true
-		b, err := algo(c.Clone(), lib, chk)
+		b, err := runFresh(algo, c.Clone(), lib, chk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return *a, *b
 	}
-	for name, algo := range map[string]func(*netlist.Circuit, *cell.Library, Options) (*Result, error){
-		"Dscale": Dscale, "Gscale": Gscale, "CVS": RunCVS,
+	for name, algo := range map[string]entry{
+		"Dscale": DscaleOn, "Gscale": GscaleOn, "CVS": RunCVSOn,
 	} {
 		a, b := run(algo)
 		if a.Lowered != b.Lowered || a.LCs != b.LCs || a.Sized != b.Sized || a.Iterations != b.Iterations {
@@ -563,7 +575,7 @@ func TestDscaleCandidateCacheDifferential(t *testing.T) {
 			opts := DefaultOptions(mres.Tspec)
 			opts.SimWords = 64
 			opts.SelfCheck = true
-			res, err := Dscale(mres.Circuit, lib, opts)
+			res, err := runFresh(DscaleOn, mres.Circuit, lib, opts)
 			if err != nil {
 				t.Fatalf("Dscale self-check on %s: %v", name, err)
 			}
@@ -650,7 +662,7 @@ func TestDscaleCandidateEvalsDropOnLargeCircuits(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := DefaultOptions(mres.Tspec)
-			res, err := Dscale(mres.Circuit, lib, opts)
+			res, err := runFresh(DscaleOn, mres.Circuit, lib, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

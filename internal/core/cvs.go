@@ -90,22 +90,14 @@ func cvsOn(inc *sta.Incremental, ckt *netlist.Circuit, opts *Options, algo strin
 	return res, nil
 }
 
-// RunCVS applies CVS once and reports circuit-level results, for symmetric
-// use with Dscale and Gscale.
-func RunCVS(ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	inc, err := sta.NewIncremental(ckt, lib, opts.Tspec)
-	if err != nil {
-		return nil, err
-	}
-	return RunCVSOn(inc, ckt, lib, opts)
-}
-
-// RunCVSOn is RunCVS on a caller-supplied incremental engine whose annotation
-// is already settled for ckt under lib — the warm-sweep entry point: one
-// baseline engine (one full analysis) serves many runs, each fenced by the
-// caller's Checkpoint/Rollback. Evaluation counts in events and the Result
-// are deltas from run entry, so a warm run reports exactly what a cold one
-// would.
+// RunCVSOn applies CVS once and reports circuit-level results, for symmetric
+// use with DscaleOn and GscaleOn. The caller supplies an incremental engine
+// whose annotation is already settled for ckt under lib; the run never
+// commits the engine's undo journal, so a Checkpoint mark taken before the
+// run survives it and one Rollback restores the pre-run circuit — which is
+// how one baseline engine serves many runs. Evaluation counts in events and
+// the Result are deltas from run entry, so a run on a shared engine reports
+// exactly what a run on a fresh one would.
 func RunCVSOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
 	areaBefore := ckt.Area()
 	opts.evalsBase = inc.Evals()

@@ -353,7 +353,7 @@ func (st *dscaleState) verify() error {
 	return nil
 }
 
-// Dscale runs the paper's §2 algorithm on a mapped circuit: CVS first, then
+// DscaleOn runs the paper's §2 algorithm on a mapped circuit: CVS first, then
 // repeated rounds of slack harvesting. Each round gathers every high-voltage
 // gate whose slack covers the Vlow (plus level-converter) delay penalty and
 // whose net power gain is positive, selects a maximum-weight independent set
@@ -367,18 +367,12 @@ func (st *dscaleState) verify() error {
 // round (per the engine's change journal), which drops per-round evaluation
 // work from live-gates to the size of the disturbed region while producing
 // the exact decisions of a full rescan.
-func Dscale(ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	inc, err := sta.NewIncremental(ckt, lib, opts.Tspec)
-	if err != nil {
-		return nil, err
-	}
-	return DscaleOn(inc, ckt, lib, opts)
-}
-
-// DscaleOn is Dscale on a caller-supplied incremental engine whose annotation
-// is already settled for ckt under lib — the warm-sweep entry point. With
-// Options.Activities set the run is simulation-free; with KeepJournal set the
-// caller's Checkpoint mark survives and one Rollback undoes the whole run.
+//
+// The caller supplies an incremental engine whose annotation is already
+// settled for ckt under lib. With Options.Activities set the run is
+// simulation-free. Like every entry point it keeps the engine's undo journal
+// intact, so the caller's Checkpoint mark survives and one Rollback undoes
+// the whole run.
 func DscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
 	areaBefore := ckt.Area()
 	opts.evalsBase = inc.Evals()
@@ -463,9 +457,6 @@ func DscaleOn(inc *sta.Incremental, ckt *netlist.Circuit, lib *cell.Library, opt
 			opts.emit(Event{Algorithm: "Dscale", Kind: EventMove, Round: res.Iterations + 1, Gate: gi})
 		}
 		st.bypassRedundantLCs()
-		if !opts.KeepJournal {
-			inc.Commit() // moves are final; cap journal growth
-		}
 		res.Iterations++
 
 		// update_timing plus a safety net: the per-candidate check is

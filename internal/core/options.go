@@ -65,18 +65,9 @@ type Options struct {
 	// fresh full analysis at every algorithm checkpoint. Differential-test
 	// hook; far too slow for production runs.
 	SelfCheck bool
-	// KeepJournal keeps the engine's undo journal intact across the run: the
-	// internal Commit calls that normally cap journal growth are skipped, so
-	// a Checkpoint mark taken by the caller before the run survives it and a
-	// single Rollback restores the pre-run circuit exactly. Gscale's final
-	// full-analysis safety check is also replaced by the engine's own Meets
-	// (the engine is bit-identical to Analyze by contract) — a full analysis
-	// is pointless work when the caller is about to roll everything back.
-	// This is the warm-sweep mode: one baseline engine serves many points.
-	KeepJournal bool
 	// Activities, when non-nil, is the per-signal 0→1 switching activity of
 	// the input circuit (sim.Result.Act layout) and Dscale uses it instead of
-	// running its own simulation. Activities are a property of the logic
+	// running its own simulation; nil makes Dscale simulate. Activities are a property of the logic
 	// alone — voltage moves never change them and inserted level converters
 	// are buffers that toggle exactly like their source — so a table computed
 	// once per circuit serves every voltage point. The slice is never

@@ -77,7 +77,8 @@ func (g *Network) push(id int, f int64) {
 
 // MaxFlowEK computes the maximum s→t flow with the Edmonds–Karp algorithm
 // (BFS augmenting paths), the variant the paper cites for Gscale's separator
-// computation.
+// computation. Inf is unbounded capacity: a flow that reaches it is reported
+// as exactly Inf, so many uncuttable paths cannot wrap the int64 total.
 func (g *Network) MaxFlowEK(s, t int) int64 {
 	if s == t {
 		return 0
@@ -126,6 +127,9 @@ func (g *Network) MaxFlowEK(s, t int) int64 {
 			v = g.arcs[id^1].to
 		}
 		total += bottleneck
+		if total >= Inf {
+			return Inf
+		}
 	}
 }
 

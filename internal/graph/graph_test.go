@@ -184,6 +184,31 @@ func TestMinVertexCutInfeasible(t *testing.T) {
 	}
 }
 
+func TestMinVertexCutManyUncuttablePaths(t *testing.T) {
+	// Seventeen disjoint entry→exit nodes of Inf weight, beside one finite
+	// path: the max-flow pushes Inf per uncuttable node, which would wrap an
+	// int64 total to Inf-16 (and sixteen of them to a negative total) and
+	// fake a finite, empty cut. No finite separator exists.
+	for _, paths := range []int{1, 8, 16, 17, 40} {
+		n := paths + 2
+		succ := make([][]int, n)
+		weight := make([]int64, n)
+		isEntry := make([]bool, n)
+		isExit := make([]bool, n)
+		for v := 0; v < paths; v++ {
+			weight[v], isEntry[v], isExit[v] = Inf, true, true
+		}
+		// A finite two-node path keeps the resizable weight positive.
+		succ[paths] = []int{paths + 1}
+		weight[paths], weight[paths+1] = 3, 5
+		isEntry[paths], isExit[paths+1] = true, true
+		cut, w, ok := MinVertexCut(n, succ, weight, isEntry, isExit)
+		if ok {
+			t.Fatalf("%d uncuttable paths: got finite cut %v of weight %d", paths, cut, w)
+		}
+	}
+}
+
 func TestMinVertexCutEntryIsExit(t *testing.T) {
 	// A node that is both entry and exit must itself be cut.
 	succ := [][]int{{}}

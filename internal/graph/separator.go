@@ -23,13 +23,18 @@ func MinVertexCut(n int, succ [][]int, weight []int64, isEntry, isExit []bool) (
 	}
 	s, t := 2*n, 2*n+1
 	g := NewNetwork(2*n + 2)
-	nodeArc := make([]int, n)
+	// finite bounds the weight of every finite cut: no cut costs more than
+	// all resizable nodes together.
+	var finite int64
 	for v := 0; v < n; v++ {
 		w := weight[v]
 		if w <= 0 {
 			panic("graph: MinVertexCut requires positive weights (use Inf for fixed nodes)")
 		}
-		nodeArc[v] = g.AddArc(2*v, 2*v+1, w)
+		if w < Inf {
+			finite = min(finite+w, Inf)
+		}
+		g.AddArc(2*v, 2*v+1, w)
 	}
 	for u := 0; u < n; u++ {
 		for _, v := range succ[u] {
@@ -44,8 +49,10 @@ func MinVertexCut(n int, succ [][]int, weight []int64, isEntry, isExit []bool) (
 			g.AddArc(2*v+1, t, Inf)
 		}
 	}
+	// A flow that reaches Inf, or exceeds every finite cut, means the minimum
+	// cut runs through an Inf arc: no finite-weight separator exists.
 	flow := g.MaxFlowEK(s, t)
-	if flow >= Inf {
+	if flow >= Inf || flow > finite {
 		return nil, flow, false
 	}
 	inS := g.ReachableFrom(s)

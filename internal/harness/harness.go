@@ -54,18 +54,15 @@ func RunDesign(d *dualvdd.Design) (report.Row, error) {
 // RunDesignContext runs CVS, Dscale and Gscale on fresh clones of the design
 // and assembles the circuit's Table 1/2 row.
 func RunDesignContext(ctx context.Context, d *dualvdd.Design) (report.Row, error) {
-	cvs, err := d.RunCVSContext(ctx)
-	if err != nil {
-		return report.Row{}, err
+	var res [3]*dualvdd.FlowResult
+	for i, algo := range dualvdd.Algorithms() {
+		r, err := d.RunAlgorithm(ctx, algo)
+		if err != nil {
+			return report.Row{}, err
+		}
+		res[i] = r
 	}
-	ds, err := d.RunDscaleContext(ctx)
-	if err != nil {
-		return report.Row{}, err
-	}
-	gs, err := d.RunGscaleContext(ctx)
-	if err != nil {
-		return report.Row{}, err
-	}
+	cvs, ds, gs := res[0], res[1], res[2]
 	return report.Row{
 		Name:            d.Name,
 		OrgPwrUW:        d.OrgPower * 1e6,

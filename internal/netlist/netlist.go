@@ -235,8 +235,11 @@ func (c *Circuit) Clone() *Circuit {
 // a reference to a dead or out-of-range signal.
 func (c *Circuit) TopoOrder() ([]int, error) {
 	nPI := len(c.PIs)
+	// Kahn's algorithm over a driver → consumer adjacency carved out of one
+	// backing array: fan[start[d]:start[d+1]] are driver gate d's consumers,
+	// in gate order. The order slice doubles as the FIFO queue.
 	indeg := make([]int, len(c.Gates))
-	fan := make([][]int, len(c.Gates)) // driver gate -> consumer gates
+	start := make([]int, len(c.Gates)+1)
 	live := 0
 	for gi, g := range c.Gates {
 		if g.Dead {
@@ -254,25 +257,38 @@ func (c *Circuit) TopoOrder() ([]int, error) {
 			if c.Gates[di].Dead {
 				return nil, fmt.Errorf("netlist: gate %s driven by dead gate %s", g.Name, c.Gates[di].Name)
 			}
-			fan[di] = append(fan[di], gi)
+			start[di+1]++
 			indeg[gi]++
 		}
 	}
-	order := make([]int, 0, live)
-	queue := make([]int, 0, live)
+	for d := range c.Gates {
+		start[d+1] += start[d]
+	}
+	fan := make([]int, start[len(c.Gates)])
+	next := append([]int(nil), start[:len(c.Gates)]...)
 	for gi, g := range c.Gates {
-		if !g.Dead && indeg[gi] == 0 {
-			queue = append(queue, gi)
+		if g.Dead {
+			continue
+		}
+		for _, s := range g.In {
+			if di := int(s) - nPI; di >= 0 {
+				fan[next[di]] = gi
+				next[di]++
+			}
 		}
 	}
-	for len(queue) > 0 {
-		gi := queue[0]
-		queue = queue[1:]
-		order = append(order, gi)
-		for _, consumer := range fan[gi] {
+	order := make([]int, 0, live)
+	for gi, g := range c.Gates {
+		if !g.Dead && indeg[gi] == 0 {
+			order = append(order, gi)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		gi := order[i]
+		for _, consumer := range fan[start[gi]:start[gi+1]] {
 			indeg[consumer]--
 			if indeg[consumer] == 0 {
-				queue = append(queue, consumer)
+				order = append(order, consumer)
 			}
 		}
 	}
@@ -302,9 +318,33 @@ type Fanouts struct {
 // BuildFanouts computes the consumer table for the current circuit structure,
 // considering live gates only.
 func (c *Circuit) BuildFanouts() *Fanouts {
-	f := &Fanouts{
-		Conns: make([][]Conn, c.NumSignals()),
-		POs:   make([][]int, c.NumSignals()),
+	n := c.NumSignals()
+	// Every list is carved out of one backing array per table and capped at
+	// its length, so a later Connect reallocates instead of spilling into its
+	// neighbor. Signals without consumers keep nil lists.
+	conns, pos := make([]int, n), make([]int, n)
+	total := 0
+	for _, g := range c.Gates {
+		if g.Dead {
+			continue
+		}
+		for _, s := range g.In {
+			conns[s]++
+		}
+		total += len(g.In)
+	}
+	for _, po := range c.POs {
+		pos[po.Src]++
+	}
+	f := &Fanouts{Conns: make([][]Conn, n), POs: make([][]int, n)}
+	connBuf, poBuf := make([]Conn, total), make([]int, len(c.POs))
+	for s := range conns {
+		if k := conns[s]; k > 0 {
+			f.Conns[s], connBuf = connBuf[:0:k], connBuf[k:]
+		}
+		if k := pos[s]; k > 0 {
+			f.POs[s], poBuf = poBuf[:0:k], poBuf[k:]
+		}
 	}
 	for gi, g := range c.Gates {
 		if g.Dead {

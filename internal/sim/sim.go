@@ -22,8 +22,8 @@ import (
 
 // runs and wordEvals are process-wide instrumentation: how many compiled
 // simulations ran and how many word×gate evaluations they spent. The
-// warm-vs-cold sweep benchmark reads them to quantify the simulations a
-// shared activity table avoids; they have no functional effect.
+// benchmark reads them to count the simulations a run spends; they have no
+// functional effect.
 var (
 	runs      atomic.Int64
 	wordEvals atomic.Int64

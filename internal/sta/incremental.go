@@ -84,13 +84,17 @@ const (
 	recDead
 )
 
+// undoRec is one journaled mutation. Runs keep their whole journal (a
+// Checkpoint taken before a run must survive it), so the record is packed
+// to 32 bytes: indices fit int32 and a rail level fits a byte.
 type undoRec struct {
+	f    float64    // old annotation value (arrival, required, slack, load, worst)
+	c    *cell.Cell // old cell (recCell)
+	a    int32      // signal or gate index
+	b    int32      // pin (recPin)
+	sig  int32      // old driver (recPin)
 	kind undoKind
-	a, b int
-	f    float64
-	c    *cell.Cell
-	v    cell.VoltLevel
-	sig  netlist.Signal
+	v    uint8 // old rail level (recVolt)
 }
 
 // NewIncremental runs one full analysis and wraps it in an incremental
@@ -263,7 +267,7 @@ func (t *Incremental) SetVolt(gi int, v cell.VoltLevel) {
 	if g.Volt == v {
 		return
 	}
-	t.journal = append(t.journal, undoRec{kind: recVolt, a: gi, v: g.Volt})
+	t.journal = append(t.journal, undoRec{kind: recVolt, a: int32(gi), v: uint8(g.Volt)})
 	g.Volt = v
 	// The voltage move itself is journaled even when no timing value shifts:
 	// a consumer's rail decides whether its driver would need a level
@@ -284,7 +288,7 @@ func (t *Incremental) SetCell(gi int, cl *cell.Cell) {
 	if cl.NumInputs() != g.Cell.NumInputs() {
 		panic(fmt.Sprintf("sta: SetCell %s: %d-input cell for %d pins", g.Name, cl.NumInputs(), len(g.In)))
 	}
-	t.journal = append(t.journal, undoRec{kind: recCell, a: gi, c: g.Cell})
+	t.journal = append(t.journal, undoRec{kind: recCell, a: int32(gi), c: g.Cell})
 	g.Cell = cl
 	t.markGate(gi)
 	for _, s := range g.In {
@@ -308,7 +312,7 @@ func (t *Incremental) RewirePin(gi, pin int, to netlist.Signal) error {
 		return fmt.Errorf("sta: RewirePin %s pin %d to %s would break topological order",
 			g.Name, pin, t.ckt.SignalName(to))
 	}
-	t.journal = append(t.journal, undoRec{kind: recPin, a: gi, b: pin, sig: from})
+	t.journal = append(t.journal, undoRec{kind: recPin, a: int32(gi), b: int32(pin), sig: int32(from)})
 	g.In[pin] = to
 	// Both nets' consumer sets changed even if their loads happen not to.
 	t.mark(from)
@@ -331,7 +335,7 @@ func (t *Incremental) RewirePin(gi, pin int, to netlist.Signal) error {
 // up afterwards with RewirePin.
 func (t *Incremental) AddGate(name string, cl *cell.Cell, in ...netlist.Signal) (int, netlist.Signal) {
 	gi, out := t.ckt.AddGate(name, cl, in...)
-	t.journal = append(t.journal, undoRec{kind: recAdd, a: gi})
+	t.journal = append(t.journal, undoRec{kind: recAdd, a: int32(gi)})
 	t.Arrival = append(t.Arrival, 0)
 	t.Required = append(t.Required, math.Inf(1))
 	t.Slack = append(t.Slack, math.Inf(1))
@@ -375,7 +379,7 @@ func (t *Incremental) KillGate(gi int) error {
 	if t.fan.Degree(out) != 0 {
 		return fmt.Errorf("sta: KillGate %s still has %d consumers", g.Name, t.fan.Degree(out))
 	}
-	t.journal = append(t.journal, undoRec{kind: recDead, a: gi})
+	t.journal = append(t.journal, undoRec{kind: recDead, a: int32(gi)})
 	g.Dead = true
 	t.markGate(gi)
 	t.orderDirty = true
@@ -402,60 +406,62 @@ func (t *Incremental) Checkpoint() Mark { return Mark(len(t.journal)) }
 func (t *Incremental) Rollback(m Mark) {
 	for i := len(t.journal) - 1; i >= int(m); i-- {
 		r := t.journal[i]
+		ri := int(r.a)
 		switch r.kind {
 		case recArrival:
-			t.Arrival[r.a] = r.f
-			t.mark(netlist.Signal(r.a))
+			t.Arrival[ri] = r.f
+			t.mark(netlist.Signal(ri))
 		case recRequired:
-			t.Required[r.a] = r.f
-			t.mark(netlist.Signal(r.a))
+			t.Required[ri] = r.f
+			t.mark(netlist.Signal(ri))
 		case recSlack:
-			t.Slack[r.a] = r.f
-			t.mark(netlist.Signal(r.a))
+			t.Slack[ri] = r.f
+			t.mark(netlist.Signal(ri))
 		case recLoad:
-			t.Load[r.a] = r.f
-			t.mark(netlist.Signal(r.a))
+			t.Load[ri] = r.f
+			t.mark(netlist.Signal(ri))
 		case recWorst:
 			t.worst = r.f
 		case recVolt:
-			t.ckt.Gates[r.a].Volt = r.v
-			t.markGate(r.a)
+			t.ckt.Gates[ri].Volt = cell.VoltLevel(r.v)
+			t.markGate(ri)
 		case recCell:
-			t.ckt.Gates[r.a].Cell = r.c
-			t.markGate(r.a)
+			t.ckt.Gates[ri].Cell = r.c
+			t.markGate(ri)
 		case recPin:
-			g := t.ckt.Gates[r.a]
-			cn := netlist.Conn{Gate: r.a, Pin: r.b}
-			t.fan.Disconnect(g.In[r.b], cn)
-			t.fan.Connect(r.sig, cn)
-			t.mark(g.In[r.b])
-			t.mark(r.sig)
-			g.In[r.b] = r.sig
+			g := t.ckt.Gates[ri]
+			pin, sig := int(r.b), netlist.Signal(r.sig)
+			cn := netlist.Conn{Gate: ri, Pin: pin}
+			t.fan.Disconnect(g.In[pin], cn)
+			t.fan.Connect(sig, cn)
+			t.mark(g.In[pin])
+			t.mark(sig)
+			g.In[pin] = sig
 		case recAdd:
-			g := t.ckt.Gates[r.a]
+			g := t.ckt.Gates[ri]
 			for pin, s := range g.In {
-				t.fan.Disconnect(s, netlist.Conn{Gate: r.a, Pin: pin})
+				t.fan.Disconnect(s, netlist.Conn{Gate: ri, Pin: pin})
 				t.mark(s)
 			}
-			t.ckt.Gates = t.ckt.Gates[:r.a]
+			t.ckt.Gates = t.ckt.Gates[:ri]
 			n := t.ckt.NumSignals()
 			t.Arrival = t.Arrival[:n]
 			t.Required = t.Required[:n]
 			t.Slack = t.Slack[:n]
 			t.Load = t.Load[:n]
 			t.fan.Shrink(n)
-			t.prio = t.prio[:r.a]
-			t.inF = t.inF[:r.a]
-			t.inB = t.inB[:r.a]
+			t.prio = t.prio[:ri]
+			t.inF = t.inF[:ri]
+			t.inB = t.inB[:ri]
 			t.inChg = t.inChg[:n]
 			t.orderDirty = true
 		case recDead:
-			g := t.ckt.Gates[r.a]
+			g := t.ckt.Gates[ri]
 			g.Dead = false
 			for pin, s := range g.In {
-				t.fan.Connect(s, netlist.Conn{Gate: r.a, Pin: pin})
+				t.fan.Connect(s, netlist.Conn{Gate: ri, Pin: pin})
 			}
-			t.markGate(r.a)
+			t.markGate(ri)
 			t.orderDirty = true
 		}
 	}
@@ -528,7 +534,7 @@ func (t *Incremental) reload(s netlist.Signal) {
 	if nl == t.Load[s] {
 		return
 	}
-	t.journal = append(t.journal, undoRec{kind: recLoad, a: int(s), f: t.Load[s]})
+	t.journal = append(t.journal, undoRec{kind: recLoad, a: int32(s), f: t.Load[s]})
 	t.Load[s] = nl
 	t.mark(s)
 	if di := t.ckt.GateIndex(s); di >= 0 && !t.ckt.Gates[di].Dead {
@@ -567,7 +573,7 @@ func (t *Incremental) setRequired(s netlist.Signal, r float64) {
 	if r == old || (math.IsInf(r, 1) && math.IsInf(old, 1)) {
 		return
 	}
-	t.journal = append(t.journal, undoRec{kind: recRequired, a: int(s), f: old})
+	t.journal = append(t.journal, undoRec{kind: recRequired, a: int32(s), f: old})
 	t.Required[s] = r
 	t.mark(s)
 	t.touched = append(t.touched, s)
@@ -580,7 +586,7 @@ func (t *Incremental) setArrival(out int, a float64) {
 	if a == t.Arrival[out] {
 		return
 	}
-	t.journal = append(t.journal, undoRec{kind: recArrival, a: out, f: t.Arrival[out]})
+	t.journal = append(t.journal, undoRec{kind: recArrival, a: int32(out), f: t.Arrival[out]})
 	t.Arrival[out] = a
 	t.mark(netlist.Signal(out))
 	t.touched = append(t.touched, netlist.Signal(out))
@@ -603,7 +609,7 @@ func (t *Incremental) settle() {
 		if ns == old || (math.IsInf(ns, 1) && math.IsInf(old, 1)) {
 			continue
 		}
-		t.journal = append(t.journal, undoRec{kind: recSlack, a: int(s), f: old})
+		t.journal = append(t.journal, undoRec{kind: recSlack, a: int32(s), f: old})
 		t.Slack[s] = ns
 		t.mark(s)
 	}

@@ -17,8 +17,8 @@ import (
 
 // fullAnalyses and fullEvals are process-wide instrumentation: how many full
 // Analyze passes ran and how many per-gate evaluations (forward + backward)
-// they spent. The warm-vs-cold sweep benchmark reads them to quantify the
-// analyses a shared baseline engine avoids; they have no functional effect.
+// they spent. The benchmark reads them to count the analyses a run spends;
+// they have no functional effect.
 var (
 	fullAnalyses atomic.Int64
 	fullEvals    atomic.Int64

@@ -12,8 +12,15 @@ import (
 
 // Local is the in-process Runner: a bounded job queue drained by a worker
 // pool (fanned out by the same Batch primitive that powers suite
-// evaluation), per-job contexts for cancellation, and a content-addressed
-// result cache so identical submissions are answered without recomputation.
+// evaluation), per-job contexts for cancellation, a content-addressed result
+// cache so identical submissions are answered without recomputation, and
+// warm prepared-state sharing: jobs whose circuit and high-rail
+// configuration match share one WarmDesign — mapped netlist, baseline timing
+// engine, activity table — and each job re-converges only its own rails on
+// it. Results, job content addresses and cache behavior are exactly those of
+// a standalone Flow run; only the wall clock and the evaluation totals
+// differ. The warmGroups most recently used groups stay resident; an evicted
+// group is rebuilt on next use.
 // It is the reference implementation of the Runner contract — the server
 // package puts an HTTP surface in front of exactly this, and the httptest
 // integration suite holds the two to the same behavior.
@@ -27,7 +34,6 @@ type Local struct {
 	workers    int
 	cacheLimit int
 	history    int
-	warmLimit  int
 
 	// cache is the content-addressed result store (nil = caching disabled)
 	// and journal the optional durability log of terminal jobs. Both default
@@ -48,6 +54,11 @@ type Local struct {
 	warmLRU  *list.List               // guarded by mu; front = most recent; values are *warmEntry
 	metrics  Metrics                  // guarded by mu
 }
+
+// warmGroups bounds both the warm-prep groups a Local keeps resident and the
+// points — hence per-circuit chains — Sweep.Run keeps in flight by default,
+// so a default sweep never evicts a group its chains still walk.
+const warmGroups = 16
 
 // warmEntry is one warm-prep group: every job whose warmPrepKey matches
 // shares the WarmDesign built by the group's first runner. The build runs
@@ -145,23 +156,6 @@ func LocalJobHistory(n int) LocalOption {
 	return func(l *Local) {
 		if n > 0 {
 			l.history = n
-		}
-	}
-}
-
-// LocalWarmPrep enables warm prepared-state sharing and bounds how many
-// prepared groups stay resident (0, the default, disables it). With it on,
-// jobs whose circuit and high-rail configuration match share one prepared
-// state — mapped netlist, baseline timing engine, activity table — and each
-// job re-converges only its own low rail on it instead of rebuilding
-// everything from scratch. Results, job content addresses and cache behavior
-// are bit-identical to cold execution (the differential suite holds them to
-// it); only the wall clock and the evaluation totals change. Past the bound
-// the least-recently-used group is dropped and rebuilt on next use.
-func LocalWarmPrep(n int) LocalOption {
-	return func(l *Local) {
-		if n >= 0 {
-			l.warmLimit = n
 		}
 	}
 }
@@ -309,8 +303,7 @@ func (l *Local) Submit(ctx context.Context, job Job) (JobID, error) {
 		l.metrics.JobsDone++
 		l.jobs[id] = j
 		l.mu.Unlock()
-		j.completeFromCache(entry)
-		l.retire(j)
+		l.completeFromCache(j, entry)
 		return id, nil
 	}
 	l.metrics.CacheMisses++
@@ -334,13 +327,14 @@ func (l *Local) Submit(ctx context.Context, job Job) (JobID, error) {
 // completeFromCache finishes a job with another run's results, replaying the
 // synthetic event history (mapped, then one result per algorithm) so Watch
 // behaves the same for hits and misses.
-func (j *localJob) completeFromCache(entry *CachedResult) {
+func (l *Local) completeFromCache(j *localJob, entry *CachedResult) {
 	design := *entry.Design
+	st := *j.snapshot()
+	st.State = JobDone
+	st.Cached = true
+	st.Design = &design
+	st.Results = entry.Results
 	j.mu.Lock()
-	j.status.State = JobDone
-	j.status.Cached = true
-	j.status.Design = &design
-	j.status.Results = entry.Results
 	j.events = append(j.events, EventMapped{
 		Circuit: design.Name, Gates: design.Gates,
 		MinDelay: design.MinDelay, Tspec: design.Tspec, OrgPower: design.OrgPower,
@@ -348,10 +342,9 @@ func (j *localJob) completeFromCache(entry *CachedResult) {
 	for _, res := range entry.Results {
 		j.events = append(j.events, EventResult{Circuit: design.Name, Result: res})
 	}
-	j.bump() // a Watch may have attached between Submit's map insert and here
 	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
+	l.retire(j, st)
+	j.finish(st) // wakes a Watch that attached between Submit's map insert and here
 }
 
 // find looks a job up.
@@ -465,15 +458,14 @@ func (l *Local) Cancel(ctx context.Context, id JobID) error {
 		// gauge can never go negative.
 		j.status.State = JobCancelled
 		j.status.Error = context.Canceled.Error()
-		j.bump()
+		st := j.status
 		j.mu.Unlock()
-		j.cancel()
-		close(j.done)
 		l.mu.Lock()
 		l.metrics.JobsQueued--
 		l.metrics.JobsCancelled++
 		l.mu.Unlock()
-		l.retire(j)
+		l.retire(j, st)
+		j.finish(st)
 		return nil
 	}
 	j.mu.Unlock()
@@ -533,6 +525,19 @@ func (j *localJob) bump() {
 	j.update = make(chan struct{})
 }
 
+// finish publishes a terminal status: Watch subscribers wake and Result
+// returns. Callers retire the job first, so whoever observes the terminal
+// state and resubmits finds the cache entry and the journal record written
+// and the in-flight slot free — never a dedup onto the finished job.
+func (j *localJob) finish(st JobStatus) {
+	j.mu.Lock()
+	j.status = st
+	j.bump()
+	j.mu.Unlock()
+	j.cancel()
+	close(j.done)
+}
+
 // publish appends one event to the job's log.
 func (j *localJob) publish(ev Event) {
 	j.mu.Lock()
@@ -560,28 +565,23 @@ func (l *Local) runJob(j *localJob) {
 
 	design, results, err := l.execute(j)
 
-	j.mu.Lock()
-	j.status.Design = design // set even on failure — mapping may have finished
+	st := *j.snapshot()
+	st.Design = design // set even on failure — mapping may have finished
 	switch {
 	case err == nil:
-		j.status.State = JobDone
-		j.status.Results = results
+		st.State = JobDone
+		st.Results = results
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.status.State = JobCancelled
-		j.status.Error = err.Error()
+		st.State = JobCancelled
+		st.Error = err.Error()
 	default:
-		j.status.State = JobFailed
-		j.status.Error = err.Error()
+		st.State = JobFailed
+		st.Error = err.Error()
 	}
-	state := j.status.State
-	j.bump()
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
 
 	l.mu.Lock()
 	l.metrics.JobsRunning--
-	switch state {
+	switch st.State {
 	case JobDone:
 		l.metrics.JobsDone++
 		for _, r := range results {
@@ -595,39 +595,26 @@ func (l *Local) runJob(j *localJob) {
 		l.metrics.JobsFailed++
 	}
 	l.mu.Unlock()
-	if state == JobDone && l.cache != nil {
+	if st.State == JobDone && l.cache != nil {
 		if err := CachePut(l.cache, &CachedResult{Key: j.key, Design: design, Results: results}); err != nil {
 			l.mu.Lock()
 			l.metrics.StoreErrors++
 			l.mu.Unlock()
 		}
 	}
-	l.retire(j)
-}
-
-// stripResults copies results without their scaled Circuits, so neither the
-// job history nor the cache pins netlists the wire never serves. Every
-// JobStatus therefore carries nil Circuits — local and wire-decoded results
-// have the same shape.
-func stripResults(results []*FlowResult) []*FlowResult {
-	out := make([]*FlowResult, len(results))
-	for i, r := range results {
-		c := *r
-		c.Circuit = nil
-		out[i] = &c
-	}
-	return out
+	l.retire(j, st)
+	j.finish(st)
 }
 
 // retire frees a terminal job's input (the parsed network and any inline
-// BLIF text are dead weight once the run is over), journals the terminal
-// record, and enforces the job-history bound. Call without l.mu held, after
-// the terminal state is published.
-func (l *Local) retire(j *localJob) {
+// BLIF text are dead weight once the run is over), journals its terminal
+// status, releases its in-flight slot, and enforces the job-history bound.
+// Call without l.mu held, before the terminal state is published.
+func (l *Local) retire(j *localJob, st JobStatus) {
 	j.net = nil
 	j.spec.BLIF = ""
 	if l.journal != nil {
-		if err := l.journal.Append(JobRecord{Seq: j.seq, Key: j.key, Status: *j.snapshot()}); err != nil {
+		if err := l.journal.Append(JobRecord{Seq: j.seq, Key: j.key, Status: st}); err != nil {
 			l.mu.Lock()
 			l.metrics.StoreErrors++
 			l.mu.Unlock()
@@ -636,10 +623,10 @@ func (l *Local) retire(j *localJob) {
 	l.mu.Lock()
 	// The job is terminal: later identical submissions must start fresh (or
 	// hit the result cache), not adopt this carcass.
-	if cur, ok := l.inflight[j.key]; ok && cur == j.status.ID {
+	if cur, ok := l.inflight[j.key]; ok && cur == st.ID {
 		delete(l.inflight, j.key)
 	}
-	l.retired = append(l.retired, j.status.ID)
+	l.retired = append(l.retired, st.ID)
 	for len(l.retired) > l.history {
 		delete(l.jobs, l.retired[0])
 		l.retired = l.retired[1:]
@@ -696,56 +683,15 @@ func (l *Local) replayJournal() {
 	}
 }
 
-// execute runs the job's flow under its per-job context: prepare (map,
-// relax, measure), then the requested algorithms in order. Progress events
-// land on the job's log via the observer. Everything published — events,
-// status results, cache entries — is Circuit-stripped: the job surface is
-// transport-shaped, and scaled netlists must not pin memory in the event
-// log or job history (in-process callers who want the netlist use Flow).
-func (l *Local) execute(j *localJob) (*DesignInfo, []*FlowResult, error) {
-	if l.warmLimit > 0 {
-		return l.executeWarm(j)
-	}
-	flow := New(
-		FromConfig(j.spec.Config),
-		WithAlgorithms(j.spec.algorithms()...),
-		WithObserver(jobObserver(j)),
-	)
-	d, err := flow.Prepare(j.ctx, j.net)
-	if err != nil {
-		return nil, nil, err
-	}
-	design := &DesignInfo{
-		Name: d.Name, Gates: d.Circuit.NumLiveGates(),
-		MinDelay: d.MinDelay, Tspec: d.Tspec, OrgPower: d.OrgPower,
-	}
-	results, err := flow.Run(j.ctx, d)
-	if err != nil {
-		return design, nil, err
-	}
-	return design, stripResults(results), nil
-}
-
-// jobObserver publishes flow events onto the job's log, Circuit-stripped.
-func jobObserver(j *localJob) Observer {
-	return func(ev Event) {
-		if er, ok := ev.(EventResult); ok && er.Result != nil && er.Result.Circuit != nil {
-			res := *er.Result
-			res.Circuit = nil
-			er.Result = &res
-			ev = er
-		}
-		j.publish(ev)
-	}
-}
-
-// executeWarm runs the job on its warm-prep group's shared state: the mapped
+// execute runs the job on its warm-prep group's shared state: the mapped
 // netlist, baseline timing engine and activity table are built once per group
-// and every member only re-converges its own low rail. The first member to
-// arrive builds; the EventMapped the build does not replay per job is
-// synthesized onto each member's log, so Watch streams look the same warm and
-// cold (the same parity completeFromCache keeps for cache hits).
-func (l *Local) executeWarm(j *localJob) (*DesignInfo, []*FlowResult, error) {
+// and every member only re-converges its own rails, under its per-job
+// context. The first member to arrive builds; the EventMapped the build does
+// not replay per job is synthesized onto each member's log, so every job's
+// Watch stream starts the way a cache hit's does. Everything published —
+// events, status results, cache entries — is Circuit-free: the job surface is
+// transport-shaped, and in-process callers who want scaled netlists use Flow.
+func (l *Local) execute(j *localJob) (*DesignInfo, []*FlowResult, error) {
 	key, err := warmPrepKey(j.net, j.spec.Config)
 	if err != nil {
 		return nil, nil, err
@@ -779,14 +725,11 @@ func (l *Local) executeWarm(j *localJob) (*DesignInfo, []*FlowResult, error) {
 		Circuit: design.Name, Gates: design.Gates,
 		MinDelay: design.MinDelay, Tspec: design.Tspec, OrgPower: design.OrgPower,
 	})
-	j.mu.Lock()
-	j.status.Warm = true
-	j.mu.Unlock()
-	results, err := entry.wd.RunAt(j.ctx, j.spec.Config.RailList(), j.spec.algorithms(), jobObserver(j))
+	results, err := entry.wd.RunAt(j.ctx, j.spec.Config.RailList(), j.spec.algorithms(), j.publish)
 	if err != nil {
 		return design, nil, err
 	}
-	return design, stripResults(results), nil
+	return design, results, nil
 }
 
 // warmGet returns the job's warm-prep group, creating it (and evicting the
@@ -800,7 +743,7 @@ func (l *Local) warmGet(key string) *warmEntry {
 	}
 	e := &warmEntry{key: key}
 	l.warm[key] = l.warmLRU.PushFront(e)
-	for l.warmLRU.Len() > l.warmLimit {
+	for l.warmLRU.Len() > warmGroups {
 		oldest := l.warmLRU.Back()
 		l.warmLRU.Remove(oldest)
 		delete(l.warm, oldest.Value.(*warmEntry).key)

@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"sort"
 	"sync"
@@ -35,6 +36,30 @@ func TestRailPairBackCompatAllBenchmarks(t *testing.T) {
 	names := dualvdd.Benchmarks()
 	if len(names) != 39 {
 		t.Fatalf("benchmark bed has %d circuits, want the paper's 39", len(names))
+	}
+	// The addresses themselves are pinned: the content and placement keys of
+	// every default job and of a three-rail CVS job, hashed over the bed. A
+	// change here orphans every result already in a CAS.
+	h := sha256.New()
+	for _, name := range names {
+		for _, job := range []dualvdd.Job{
+			dualvdd.BenchmarkJob(name),
+			dualvdd.BenchmarkJob(name, dualvdd.WithRails(5.0, 4.3, 3.6), dualvdd.WithAlgorithms(dualvdd.AlgoCVS)),
+		} {
+			k, err := job.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := job.GroupKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s %s %s\n", name, k, g)
+		}
+	}
+	const pinned = "54b05ee1aaca02873692be00754320cd1ada3c44fe0df70891b424f196fe1f5f"
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinned {
+		t.Fatalf("job addresses moved: digest %s, pinned %s", got, pinned)
 	}
 	for _, name := range names {
 		legacy := dualvdd.BenchmarkJob(name)
@@ -101,13 +126,13 @@ func sweepPointEvents(ctx context.Context, t *testing.T, s dualvdd.Sweep, r dual
 
 // sweepEventsDigest hashes a sweep's point-event envelopes after zeroing the
 // fields that legitimately differ between two identical computations: wall
-// clock (Runtime/SimTime) and scheduling provenance (Cached/Warm). What
+// clock (Runtime/SimTime) and scheduling provenance (Cached). What
 // remains is the deterministic wire content of the sweep.
 func sweepEventsDigest(t *testing.T, evs []dualvdd.EventSweepPoint) string {
 	t.Helper()
 	h := sha256.New()
 	for _, ev := range evs {
-		ev.Cached, ev.Warm = false, false
+		ev.Cached = false
 		results := make([]*dualvdd.FlowResult, len(ev.Results))
 		for i, r := range ev.Results {
 			cp := *r
@@ -266,14 +291,14 @@ func TestThreeRailSweepLocalWarm(t *testing.T) {
 	}
 	ctx := context.Background()
 	sweep := threeRailSweep()
-	l := dualvdd.NewLocal(dualvdd.LocalWorkers(2), dualvdd.LocalWarmPrep(8))
+	l := dualvdd.NewLocal(dualvdd.LocalWorkers(2))
 	defer func() {
 		cctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		_ = l.Close(cctx)
 	}()
 
-	rows, err := sweep.Run(ctx, l, dualvdd.SweepWarm(true))
+	rows, err := sweep.Run(ctx, l)
 	if err != nil {
 		t.Fatalf("three-rail sweep: %v", err)
 	}
@@ -338,7 +363,7 @@ func TestThreeRailSweepFleet(t *testing.T) {
 	var workers []*dualvdd.Local
 	var urls []string
 	for i := 0; i < 2; i++ {
-		w := dualvdd.NewLocal(dualvdd.LocalWarmPrep(8))
+		w := dualvdd.NewLocal()
 		ts := httptest.NewServer(server.New(w))
 		workers = append(workers, w)
 		urls = append(urls, ts.URL)
@@ -361,7 +386,7 @@ func TestThreeRailSweepFleet(t *testing.T) {
 		_ = co.Close(cctx)
 	}()
 
-	rows, err := sweep.Run(ctx, co, dualvdd.SweepWarm(true))
+	rows, err := sweep.Run(ctx, co)
 	if err != nil {
 		t.Fatalf("fleet sweep: %v", err)
 	}

@@ -288,16 +288,17 @@ type sweepRun struct {
 	inFlight int
 	obs      Observer
 	forward  bool
-	warm     bool
 }
 
 // SweepOption configures Sweep.Run.
 type SweepOption func(*sweepRun)
 
 // SweepInFlight bounds how many points are submitted to the runner at once
-// (default: GOMAXPROCS, capped at 16). It should not exceed the runner's
-// queue depth by much — a full queue is retried, not fatal, but the retries
-// are wasted round trips on a remote transport.
+// (default: GOMAXPROCS, capped at the warm groups a Local keeps resident).
+// Points of one circuit run as one chain, so at most one point per circuit
+// is in flight. The bound should not exceed the runner's queue depth by much
+// — a full queue is retried, not fatal, but the retries are wasted round
+// trips on a remote transport.
 func SweepInFlight(n int) SweepOption {
 	return func(r *sweepRun) {
 		if n > 0 {
@@ -324,33 +325,21 @@ func SweepJobEvents(on bool) SweepOption {
 	return func(r *sweepRun) { r.forward = on }
 }
 
-// SweepWarm schedules the sweep for warm prepared-state reuse: each
-// circuit's points run as one sequential chain in expansion order (so
-// points that share a prepared state arrive back to back on the runner and
-// the warm groups of a LocalWarmPrep runner are never contended), while
-// distinct circuits still run in parallel up to SweepInFlight. The option
-// changes scheduling only — results stay in expansion order and every point
-// computes exactly what it would cold; pair it with LocalWarmPrep on the
-// runner to actually share the prepared work. On error the sweep reports the
-// earliest-chain failure; later points of a failed chain are skipped (nil
-// holes), other chains run to completion or cancellation like cold Run.
-func SweepWarm(on bool) SweepOption {
-	return func(r *sweepRun) { r.warm = on }
-}
-
 // Run expands the sweep and executes every point through the runner,
-// returning the results in expansion order. Submission fans out across at
-// most SweepInFlight points; a runner whose queue is momentarily full is
-// retried. The first failing point aborts the sweep deterministically (the
-// lowest-index intrinsic failure is reported, the Batch contract); on error
-// the returned slice still holds every completed point, with nil holes for
-// failed and skipped ones.
+// returning the results in expansion order. Each circuit's points run as one
+// sequential chain in expansion order, so points that share a prepared state
+// arrive back to back on the runner and its warm groups are never contended;
+// distinct circuits run in parallel, at most SweepInFlight at once. A runner
+// whose queue is momentarily full is retried. A failing point aborts the
+// sweep: the earliest chain's failure is reported, later points of a failed
+// chain are skipped, and the returned slice still holds every completed
+// point, with nil holes for failed and skipped ones.
 //
 // Cancellation: when ctx ends, in-flight jobs are cancelled on the runner
 // and Run returns ctx.Err(). Points the runner answered from its cache
 // complete instantly and are flagged Cached on their status.
 func (s Sweep) Run(ctx context.Context, r Runner, opts ...SweepOption) ([]SweepPointResult, error) {
-	run := sweepRun{inFlight: min(runtime.GOMAXPROCS(0), 16)}
+	run := sweepRun{inFlight: min(runtime.GOMAXPROCS(0), warmGroups)}
 	for _, opt := range opts {
 		opt(&run)
 	}
@@ -373,40 +362,34 @@ func (s Sweep) Run(ctx context.Context, r Runner, opts ...SweepOption) ([]SweepP
 		}
 		return res, nil
 	}
-	var results []SweepPointResult
-	if run.warm {
-		// One sequential chain per circuit, chains in parallel. Expansion
-		// order groups each circuit's points contiguously with VDDL varying
-		// fastest, so a chain walks its voltage axis neighbor to neighbor —
-		// exactly the access pattern a warm-prep runner amortizes best.
-		chains := make([][]int, 0, len(s.Circuits))
-		chainOf := map[SweepCircuit]int{}
-		for i, p := range points {
-			ci, ok := chainOf[p.Circuit]
-			if !ok {
-				ci = len(chains)
-				chainOf[p.Circuit] = ci
-				chains = append(chains, nil)
-			}
-			chains[ci] = append(chains[ci], i)
+	// One sequential chain per circuit, chains in parallel. Expansion order
+	// groups each circuit's points contiguously with the low rail varying
+	// fastest, so a chain walks its voltage axis neighbor to neighbor.
+	chains := make([][]int, 0, len(s.Circuits))
+	chainOf := map[SweepCircuit]int{}
+	for i, p := range points {
+		ci, ok := chainOf[p.Circuit]
+		if !ok {
+			ci = len(chains)
+			chainOf[p.Circuit] = ci
+			chains = append(chains, nil)
 		}
-		results = make([]SweepPointResult, len(points))
-		// Distinct chains write distinct slots, so the shared slice needs no
-		// lock; failed and skipped slots keep the zero SweepPointResult.
-		_, err = BatchMap(ctx, Batch{Workers: run.inFlight}, len(chains),
-			func(ctx context.Context, c int) (struct{}, error) {
-				for _, i := range chains[c] {
-					res, err := runPoint(ctx, i)
-					if err != nil {
-						return struct{}{}, err
-					}
-					results[i] = res
-				}
-				return struct{}{}, nil
-			})
-	} else {
-		results, err = BatchMap(ctx, Batch{Workers: run.inFlight}, len(points), runPoint)
+		chains[ci] = append(chains[ci], i)
 	}
+	results := make([]SweepPointResult, len(points))
+	// Distinct chains write distinct slots, so the shared slice needs no
+	// lock; failed and skipped slots keep the zero SweepPointResult.
+	_, err = BatchMap(ctx, Batch{Workers: run.inFlight}, len(chains),
+		func(ctx context.Context, c int) (struct{}, error) {
+			for _, i := range chains[c] {
+				res, err := runPoint(ctx, i)
+				if err != nil {
+					return struct{}{}, err
+				}
+				results[i] = res
+			}
+			return struct{}{}, nil
+		})
 	if err != nil {
 		// Failed and skipped slots hold the zero SweepPointResult, per the
 		// BatchMap contract.
@@ -530,7 +513,6 @@ func sweepPointEvent(pt SweepPoint, total int, st *JobStatus) EventSweepPoint {
 		SimWords:    pt.Config.SimWords,
 		Algorithms:  append([]Algorithm(nil), pt.Algorithms...),
 		Cached:      st.Cached,
-		Warm:        st.Warm,
 		Results:     st.Results,
 	}
 }

@@ -6,16 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"dualvdd/internal/blif"
-	"dualvdd/internal/core"
 	"dualvdd/internal/logic"
 	"dualvdd/internal/netlist"
-	"dualvdd/internal/power"
 	"dualvdd/internal/sta"
 )
 
@@ -26,11 +22,11 @@ import (
 // the baseline full timing analysis — is a property of the circuit alone, not
 // of the low rail, so a sweep that re-derives it per point pays the same bill
 // over and over. RunAt instead swaps the library's low rail (an annotation
-// no-op at the all-VHigh baseline), runs each algorithm inside a
-// Checkpoint/Rollback fence on the shared engine, and reads power from the
-// baseline activity table. Results are bit-identical to standalone Flow runs
-// (the cold/warm differential suite holds them to it); only the wall clock and
-// the evaluation totals differ.
+// no-op at the all-VHigh baseline) and runs each algorithm through the same
+// execution path as Flow.Run, inside a Checkpoint/Rollback fence on the
+// shared engine. Results are bit-identical to standalone Flow runs (the
+// differential suite holds both to a reference composition); only the wall
+// clock and the evaluation totals differ.
 //
 // A WarmDesign serializes its runs: RunAt holds an internal lock, so
 // concurrent callers take turns on the one engine. Sweep-level parallelism
@@ -62,7 +58,7 @@ func NewWarmDesign(d *Design) (*WarmDesign, error) {
 // PrepareWarm maps a logic network, measures its original power and wraps the
 // design for warm multi-point execution.
 func (f *Flow) PrepareWarm(ctx context.Context, net *logic.Network) (*WarmDesign, error) {
-	d, err := prepare(ctx, net, f.cfg, f.obs)
+	d, err := f.Prepare(ctx, net)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +68,7 @@ func (f *Flow) PrepareWarm(ctx context.Context, net *logic.Network) (*WarmDesign
 // PrepareWarmBenchmark is PrepareWarm for one of the MCNC stand-in
 // benchmarks.
 func (f *Flow) PrepareWarmBenchmark(ctx context.Context, name string) (*WarmDesign, error) {
-	d, err := prepareBenchmark(ctx, name, f.cfg, f.obs)
+	d, err := f.PrepareBenchmark(ctx, name)
 	if err != nil {
 		return nil, err
 	}
@@ -90,16 +86,15 @@ func (w *WarmDesign) Runs() int64 {
 // RunAt executes the given algorithms (all three when empty) at the given
 // rail vector — [vhigh, vlow] for the classic pair, any longer descending
 // list for multi-rail scaling; rails[0] must equal the prepared design's high
-// rail — reusing the shared prepared state. Per algorithm it checkpoints the
-// engine, runs with the journal intact and the baseline activity table, reads
-// the final power from the table, and rolls the working circuit back to the
-// all-VHigh baseline — no mapping, no simulation, no full analysis. Results
-// are bit-identical to Design.RunAlgorithm at the same rails, with two
-// deliberate exceptions: Runtime/SimTime measure the (much smaller) warm work,
-// and Circuit is nil — the working clone is rolled back, so there is no scaled
-// netlist to hand out. A cancelled context aborts within one algorithm
-// iteration with ctx.Err(); the baseline is restored before returning, so the
-// WarmDesign stays valid for further points.
+// rail — reusing the shared prepared state. Each algorithm runs inside a
+// Checkpoint/Rollback fence on the shared engine, which restores the working
+// circuit to the all-VHigh baseline: no mapping, no simulation, and one full
+// analysis per run, the verification. Results are bit-identical to
+// Design.RunAlgorithm at the same rails, except that Runtime measures the
+// warm work and Circuit is nil — the working clone is rolled back, so there
+// is no scaled netlist to hand out. A cancelled context aborts within one
+// algorithm iteration with ctx.Err(); the baseline is restored before
+// returning, so the WarmDesign stays valid for further points.
 func (w *WarmDesign) RunAt(ctx context.Context, rails []float64, algos []Algorithm, obs Observer) ([]*FlowResult, error) {
 	if len(algos) == 0 {
 		algos = Algorithms()
@@ -117,95 +112,22 @@ func (w *WarmDesign) RunAt(ctx context.Context, rails []float64, algos []Algorit
 	}
 	results := make([]*FlowResult, 0, len(algos))
 	for _, algo := range algos {
-		res, err := w.runOne(ctx, algo, obs)
+		res, err := w.fenced(ctx, algo, obs)
 		if err != nil {
 			return results, err
 		}
+		w.runs++
 		results = append(results, res)
 	}
 	return results, nil
 }
 
-// runOne executes one algorithm inside a Checkpoint/Rollback fence. The
-// caller holds w.mu and has already retargeted the engine's library.
-func (w *WarmDesign) runOne(ctx context.Context, algo Algorithm, obs Observer) (*FlowResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	d := w.Design
-	lib := w.inc.Library()
-	opts := d.coreOptions()
-	opts.Ctx = ctx
-	opts.Observer = coreObserver(d.Name, obs)
-	opts.KeepJournal = true
-	opts.Activities = d.act
-
-	mark := w.inc.Checkpoint()
-	// Rollback before returning on every path: the baseline must be restored
-	// even when the algorithm aborts mid-run (cancellation, a violated
-	// constraint), or the shared state would poison every later point.
-	defer w.inc.Rollback(mark)
-
-	start := time.Now() //lint:wallclock-ok timing metric only; never feeds results
-	var cres *core.Result
-	var err error
-	switch algo {
-	case AlgoCVS:
-		cres, err = core.RunCVSOn(w.inc, w.work, lib, opts)
-	case AlgoDscale:
-		cres, err = core.DscaleOn(w.inc, w.work, lib, opts)
-	case AlgoGscale:
-		cres, err = core.GscaleOn(w.inc, w.work, lib, opts)
-	default:
-		return nil, fmt.Errorf("dualvdd: unknown algorithm %q", algo)
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("dualvdd: %s on %s: %w", algo, d.Name, err)
-	}
-	elapsed := time.Since(start) //lint:wallclock-ok timing metric only; never feeds results
-	// The constraint must hold after every algorithm — verify, don't trust.
-	// The engine's annotation is bit-identical to a fresh Analyze by contract
-	// (the differential suite holds it to that), so its own verdict stands in
-	// for the cold path's full re-analysis.
-	if !w.inc.Meets(1e-6) {
-		return nil, fmt.Errorf("dualvdd: %s on %s violated timing: %.4f > %.4f",
-			algo, d.Name, w.inc.WorstArrival(), d.Tspec)
-	}
-	// Power from the baseline activity table (extended by the run's aliased
-	// level-converter activities) — bit-identical to the cold path's fresh
-	// simulate-and-estimate, without the simulation.
-	pb := power.Estimate(w.work, lib, cres.Act, d.cfg.Fclk)
-	gates := 0
-	for _, g := range w.work.Gates {
-		if !g.Dead && !g.IsLC {
-			gates++
-		}
-	}
-	fr := &FlowResult{
-		Algorithm:    string(algo),
-		Power:        pb.Total,
-		ImprovePct:   (d.OrgPower - pb.Total) / d.OrgPower * 100,
-		Gates:        gates,
-		LowGates:     w.work.NumLowGates(),
-		LCs:          w.work.NumLCs(),
-		Sized:        cres.Sized,
-		AreaIncrease: w.work.Area()/d.Circuit.Area() - 1,
-		WorstSlack:   d.Tspec - w.inc.WorstArrival(),
-		Runtime:      elapsed,
-		STAEvals:     cres.STAEvals,
-		CandEvals:    cres.CandEvals,
-		SimTime:      0,
-	}
-	if gates > 0 {
-		fr.LowRatio = float64(fr.LowGates) / float64(gates)
-	}
-	railBreakdown(fr, w.work, lib)
-	w.runs++
-	obs.emit(EventResult{Circuit: d.Name, Result: fr})
-	return fr, nil
+// fenced runs one algorithm on the shared engine and rolls it back to the
+// baseline on every path — a failed or cancelled run included — so the shared
+// state can never poison a later point. The caller holds w.mu.
+func (w *WarmDesign) fenced(ctx context.Context, algo Algorithm, obs Observer) (*FlowResult, error) {
+	defer w.inc.Rollback(w.inc.Checkpoint())
+	return w.Design.runOne(ctx, w.inc, w.work, algo, obs, false)
 }
 
 // warmPrepKey is the content address of a warm-prep group: jobs with the same

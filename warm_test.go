@@ -2,114 +2,75 @@ package dualvdd_test
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"testing"
 
 	"dualvdd"
 )
 
-// bitEq compares two floats bit for bit — the warm path promises identity,
-// not approximation.
-func bitEq(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b)
-}
-
-// requireSameResult asserts every deterministic FlowResult field matches bit
-// for bit between a cold (standalone Flow) and a warm (shared prepared state)
-// run. Runtime and SimTime are wall clock and Circuit is local-only — those
-// three are the documented exceptions.
-func requireSameResult(t *testing.T, label string, cold, warm *dualvdd.FlowResult) {
-	t.Helper()
-	if cold.Algorithm != warm.Algorithm {
-		t.Fatalf("%s: algorithm %q vs %q", label, cold.Algorithm, warm.Algorithm)
-	}
-	if !bitEq(cold.Power, warm.Power) {
-		t.Errorf("%s: power %v vs %v", label, cold.Power, warm.Power)
-	}
-	if !bitEq(cold.ImprovePct, warm.ImprovePct) {
-		t.Errorf("%s: improve %v vs %v", label, cold.ImprovePct, warm.ImprovePct)
-	}
-	if !bitEq(cold.LowRatio, warm.LowRatio) {
-		t.Errorf("%s: low ratio %v vs %v", label, cold.LowRatio, warm.LowRatio)
-	}
-	if !bitEq(cold.AreaIncrease, warm.AreaIncrease) {
-		t.Errorf("%s: area %v vs %v", label, cold.AreaIncrease, warm.AreaIncrease)
-	}
-	if !bitEq(cold.WorstSlack, warm.WorstSlack) {
-		t.Errorf("%s: slack %v vs %v", label, cold.WorstSlack, warm.WorstSlack)
-	}
-	if cold.Gates != warm.Gates || cold.LowGates != warm.LowGates ||
-		cold.LCs != warm.LCs || cold.Sized != warm.Sized {
-		t.Errorf("%s: counts (g=%d lg=%d lc=%d sz=%d) vs (g=%d lg=%d lc=%d sz=%d)", label,
-			cold.Gates, cold.LowGates, cold.LCs, cold.Sized,
-			warm.Gates, warm.LowGates, warm.LCs, warm.Sized)
-	}
-	if cold.STAEvals != warm.STAEvals {
-		t.Errorf("%s: sta evals %d vs %d", label, cold.STAEvals, warm.STAEvals)
-	}
-	if cold.CandEvals != warm.CandEvals {
-		t.Errorf("%s: cand evals %d vs %d", label, cold.CandEvals, warm.CandEvals)
-	}
-}
-
-// TestWarmMatchesColdAcrossPoints is the cold/warm differential: one
-// WarmDesign serves several low rails in sequence, and every result must be
-// bit-identical to a standalone Flow run prepared fresh at that rail. The
-// sweep runs the points in one order and the cold oracle another (reversed),
-// so any state leaking from point to point on the shared engine shows up.
+// TestWarmMatchesColdAcrossPoints holds both callers of the flow's one run
+// function to the reference composition on every circuit of the bed, bit for
+// bit: Flow.Run at the prepared two-rail point, scaled netlists included, and
+// one WarmDesign's RunAt across a two-rail point, a three-rail point and back
+// to the prepared pair — so any state leaking from point to point on the
+// shared engine shows up. The (5.0, 3.7) point is where Gscale once found a
+// fake finite separator on C1355 and C499.
 func TestWarmMatchesColdAcrossPoints(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential run is slow")
+		t.Skip("differential run over the whole bed is slow")
 	}
-	ctx := context.Background()
-	const circuit = "rot"
-	vlows := []float64{3.3, 4.3, 3.7}
-
-	warmFlow := dualvdd.New(dualvdd.WithSimWords(64))
-	wd, err := warmFlow.PrepareWarmBenchmark(ctx, circuit)
-	if err != nil {
-		t.Fatalf("prepare warm: %v", err)
-	}
-
-	warm := make(map[float64][]*dualvdd.FlowResult)
-	for _, vlow := range vlows {
-		res, err := wd.RunAt(ctx, []float64{5.0, vlow}, nil, nil)
-		if err != nil {
-			t.Fatalf("warm run at %.1f: %v", vlow, err)
-		}
-		warm[vlow] = res
-	}
-
-	for i := len(vlows) - 1; i >= 0; i-- {
-		vlow := vlows[i]
-		flow := dualvdd.New(dualvdd.WithSimWords(64), dualvdd.WithVoltages(5.0, vlow))
-		d, err := flow.PrepareBenchmark(ctx, circuit)
-		if err != nil {
-			t.Fatalf("prepare cold at %.1f: %v", vlow, err)
-		}
-		cold, err := flow.Run(ctx, d)
-		if err != nil {
-			t.Fatalf("cold run at %.1f: %v", vlow, err)
-		}
-		if len(cold) != len(warm[vlow]) {
-			t.Fatalf("at %.1f: %d cold results vs %d warm", vlow, len(cold), len(warm[vlow]))
-		}
-		for j := range cold {
-			requireSameResult(t, cold[j].Algorithm, cold[j], warm[vlow][j])
-		}
-	}
-
-	if got := wd.Runs(); got != int64(len(vlows)*3) {
-		t.Errorf("Runs() = %d, want %d", got, len(vlows)*3)
+	points := [][]float64{{5.0, 3.7}, {5.0, 4.3, 3.6}, {5.0, 4.3}}
+	for _, name := range dualvdd.Benchmarks() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			flow := dualvdd.New(dualvdd.WithSimWords(16))
+			wd, err := flow.PrepareWarmBenchmark(ctx, name)
+			if err != nil {
+				t.Fatalf("prepare: %v", err)
+			}
+			d := wd.Design
+			oneShot, err := flow.Run(ctx, d)
+			if err != nil {
+				t.Fatalf("Flow.Run: %v", err)
+			}
+			for i, algo := range dualvdd.Algorithms() {
+				if oneShot[i].Circuit == nil {
+					t.Fatalf("Flow.Run %s handed no scaled netlist out", algo)
+				}
+				requireReference(t, "Flow.Run/"+string(algo), referenceRun(t, d, flow.Config(), d.Lib, algo), oneShot[i])
+			}
+			for _, rails := range points {
+				warm, err := wd.RunAt(ctx, rails, nil, nil)
+				if err != nil {
+					t.Fatalf("RunAt %v: %v", rails, err)
+				}
+				lib, err := d.Lib.AtRails(rails)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, algo := range dualvdd.Algorithms() {
+					if warm[i].Circuit != nil {
+						t.Fatalf("RunAt %v %s handed the rolled-back working clone out", rails, algo)
+					}
+					requireReference(t, fmt.Sprintf("RunAt%v/%s", rails, algo),
+						referenceRun(t, d, flow.Config(), lib, algo), warm[i])
+				}
+			}
+			if got, want := wd.Runs(), int64(len(points)*3); got != want {
+				t.Errorf("Runs() = %d, want %d", got, want)
+			}
+		})
 	}
 }
 
 // TestWarmCancelRestoresBaseline cancels a warm run mid-flight and checks the
-// shared state still produces bit-identical results afterwards — the
+// shared state still produces the reference result afterwards — the
 // Rollback-on-every-path contract.
 func TestWarmCancelRestoresBaseline(t *testing.T) {
 	ctx := context.Background()
-	wd, err := dualvdd.New(dualvdd.WithSimWords(16)).PrepareWarmBenchmark(ctx, "rot")
+	flow := dualvdd.New(dualvdd.WithSimWords(16))
+	wd, err := flow.PrepareWarmBenchmark(ctx, "rot")
 	if err != nil {
 		t.Fatalf("prepare warm: %v", err)
 	}
@@ -123,23 +84,15 @@ func TestWarmCancelRestoresBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run after cancel: %v", err)
 	}
-	flow := dualvdd.New(dualvdd.WithSimWords(16), dualvdd.WithVoltages(5.0, 4.3))
-	d, err := flow.PrepareBenchmark(ctx, "rot")
-	if err != nil {
-		t.Fatalf("prepare cold: %v", err)
-	}
-	cold, err := d.RunDscaleContext(ctx)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	requireSameResult(t, "Dscale-after-cancel", cold, res[0])
+	d := wd.Design
+	requireReference(t, "Dscale-after-cancel", referenceRun(t, d, flow.Config(), d.Lib, dualvdd.AlgoDscale), res[0])
 }
 
-// TestWarmSweepMatchesColdSweep is the end-to-end warm path: the same sweep
-// run cold on one Local and warm (LocalWarmPrep + SweepWarm) on another must
-// produce bit-identical rows, with every warm point flagged and the prep
-// metrics accounting for one build per circuit and one reuse for every other
-// point.
+// TestWarmSweepMatchesColdSweep is the end-to-end path of a sweep: every
+// point run through a Local — which shares one prepared state per circuit
+// across the points of its chain — must match the reference composition on a
+// design prepared fresh at that point's configuration, and the prep metrics
+// must account for one build per circuit and one reuse for every other point.
 func TestWarmSweepMatchesColdSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow")
@@ -151,57 +104,37 @@ func TestWarmSweepMatchesColdSweep(t *testing.T) {
 		Axes:     dualvdd.Axes{VDDL: []float64{3.3, 3.7, 4.3}},
 	}
 
-	cold := dualvdd.NewLocal(dualvdd.LocalWorkers(2))
-	coldRes, err := sweep.Run(ctx, cold)
+	l := dualvdd.NewLocal(dualvdd.LocalWorkers(2))
+	rows, err := sweep.Run(ctx, l)
 	if err != nil {
-		t.Fatalf("cold sweep: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
-	if cerr := cold.Close(ctx); cerr != nil {
-		t.Fatalf("close cold: %v", cerr)
-	}
-
-	warm := dualvdd.NewLocal(dualvdd.LocalWorkers(2),
-		dualvdd.LocalWarmPrep(len(sweep.Circuits)))
-	warmRes, err := sweep.Run(ctx, warm, dualvdd.SweepWarm(true))
-	if err != nil {
-		t.Fatalf("warm sweep: %v", err)
-	}
-
-	if len(warmRes) != len(coldRes) {
-		t.Fatalf("%d warm results vs %d cold", len(warmRes), len(coldRes))
-	}
-	for i := range coldRes {
-		cs, ws := coldRes[i].Status, warmRes[i].Status
-		if cs == nil || ws == nil {
-			t.Fatalf("point %d: nil status (cold=%v warm=%v)", i, cs == nil, ws == nil)
+	for i, row := range rows {
+		flow := dualvdd.New(dualvdd.FromConfig(row.Point.Config))
+		d, err := flow.PrepareBenchmark(ctx, row.Point.Circuit.Benchmark)
+		if err != nil {
+			t.Fatalf("point %d: prepare: %v", i, err)
 		}
-		if cs.Warm {
-			t.Errorf("point %d: cold run flagged warm", i)
+		if len(row.Status.Results) != len(row.Point.Algorithms) {
+			t.Fatalf("point %d: %d results for %d algorithms", i, len(row.Status.Results), len(row.Point.Algorithms))
 		}
-		if !ws.Warm {
-			t.Errorf("point %d: warm run not flagged", i)
-		}
-		if len(ws.Results) != len(cs.Results) {
-			t.Fatalf("point %d: %d warm results vs %d cold", i, len(ws.Results), len(cs.Results))
-		}
-		for j := range cs.Results {
-			label := coldRes[i].Point.Circuit.Benchmark + "/" + cs.Results[j].Algorithm
-			requireSameResult(t, label, cs.Results[j], ws.Results[j])
+		for j, algo := range row.Point.Algorithms {
+			label := fmt.Sprintf("point %d %s/%s", i, d.Name, algo)
+			requireReference(t, label, referenceRun(t, d, flow.Config(), d.Lib, algo), row.Status.Results[j])
 		}
 	}
 
-	m := warm.Metrics()
-	points := len(warmRes)
+	m := l.Metrics()
 	if m.PrepBuilds != int64(len(sweep.Circuits)) {
 		t.Errorf("PrepBuilds = %d, want %d (one per circuit)", m.PrepBuilds, len(sweep.Circuits))
 	}
-	if m.PrepReuses != int64(points-len(sweep.Circuits)) {
-		t.Errorf("PrepReuses = %d, want %d", m.PrepReuses, points-len(sweep.Circuits))
+	if m.PrepReuses != int64(len(rows)-len(sweep.Circuits)) {
+		t.Errorf("PrepReuses = %d, want %d", m.PrepReuses, len(rows)-len(sweep.Circuits))
 	}
 	if m.PrepGroups != len(sweep.Circuits) {
 		t.Errorf("PrepGroups = %d, want %d", m.PrepGroups, len(sweep.Circuits))
 	}
-	if cerr := warm.Close(ctx); cerr != nil {
-		t.Fatalf("close warm: %v", cerr)
+	if cerr := l.Close(ctx); cerr != nil {
+		t.Fatalf("close: %v", cerr)
 	}
 }
