@@ -181,34 +181,16 @@ func (w *workerState) eligible() bool {
 	}
 }
 
-// fleetJob is one accepted submission: spec, lifecycle, the relayed event
-// log, and the per-job context Cancel fires. It mirrors Local's job record
-// so the Runner semantics match exactly.
-type fleetJob struct {
-	spec     dualvdd.Job
-	key      string
-	group    string
-	tenant   string
-	seq      int64
-	budgeted bool // a WithJobBudget deadline bounds j.ctx
-	attempts int  // dispatch attempts that killed their worker; driver-owned
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu      sync.Mutex
-	status  dualvdd.JobStatus // guarded by mu
-	events  []dualvdd.Event   // guarded by mu
-	relayed int               // guarded by mu; events delivered so far, for replay dedup across re-dispatch
-	update  chan struct{}     // guarded by mu; closed and replaced on every append/state change
-	done    chan struct{}     // closed on terminal state; receiving needs no lock
-}
-
 // Coordinator shards jobs across a worker fleet. It implements
 // dualvdd.Runner and dualvdd.MetricsProvider, so server.New(coordinator)
 // puts the standard HTTP surface in front of a whole fleet and Sweep.Run
-// drives it like any other runner.
+// drives it like any other runner. The job lifecycle is the embedded
+// dualvdd.JobTable, shared with dualvdd.Local; the coordinator adds
+// placement, circuit breakers, health probing, tenant admission and
+// dispatch.
 type Coordinator struct {
+	*dualvdd.JobTable
+
 	vnodes           int
 	healthInterval   time.Duration
 	healthTimeout    time.Duration
@@ -226,18 +208,17 @@ type Coordinator struct {
 	journal   dualvdd.JobStore
 	admission *admission
 
-	mu       sync.Mutex
-	ring     *ring                       // guarded by mu
-	workers  map[string]*workerState     // guarded by mu
-	jobs     map[dualvdd.JobID]*fleetJob // guarded by mu
-	inflight map[string]dualvdd.JobID    // guarded by mu; content key → live job, for idempotent resubmission
-	retired  []dualvdd.JobID             // guarded by mu
-	order    int64                       // guarded by mu
-	closed   bool                        // guarded by mu
-	metrics  dualvdd.Metrics             // guarded by mu
+	mu            sync.Mutex
+	ring          *ring                   // guarded by mu
+	workers       map[string]*workerState // guarded by mu
+	redispatches  int64                   // guarded by mu
+	quarantined   int64                   // guarded by mu
+	rejects       int64                   // guarded by mu; admission refusals over all tenants
+	tenantRejects map[string]int64        // guarded by mu
 
 	wg   sync.WaitGroup
 	stop chan struct{}
+	idle chan struct{} // closed once Close stopped the fleet and every goroutine exited
 }
 
 // New builds a coordinator over the given worker URLs and starts its health
@@ -260,10 +241,9 @@ func New(workerURLs []string, opts ...Option) (*Coordinator, error) {
 		redispatchBudget: 3,
 		patience:         30 * time.Second,
 		hopBudget:        50 * time.Millisecond,
-		jobs:             make(map[dualvdd.JobID]*fleetJob),
-		inflight:         make(map[string]dualvdd.JobID),
 		workers:          make(map[string]*workerState),
 		stop:             make(chan struct{}),
+		idle:             make(chan struct{}),
 	}
 	c.dial = func(url string) (WorkerClient, error) {
 		return client.New(url, client.WithRetry(3, 100*time.Millisecond, time.Second))
@@ -287,9 +267,7 @@ func New(workerURLs []string, opts ...Option) (*Coordinator, error) {
 		c.workers[u] = &workerState{name: u, runner: w, state: breakerClosed}
 		c.ring.add(u)
 	}
-	if c.journal != nil {
-		c.replayJournal()
-	}
+	c.JobTable = dualvdd.NewJobTable(c.cache, c.journal, c.history)
 	c.wg.Add(1)
 	go c.healthLoop()
 	return c, nil
@@ -398,147 +376,37 @@ func (c *Coordinator) pickWorker(group string, tried map[string]bool) *workerSta
 }
 
 // Submit admits, then answers from the cache or dispatches to the group's
-// worker. See dualvdd.Runner.
+// worker. The tenant's quota and rate are charged only after the table's
+// in-flight dedup, so a retried submission is not charged twice. See
+// dualvdd.Runner.
 func (c *Coordinator) Submit(ctx context.Context, job dualvdd.Job) (dualvdd.JobID, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	budget, hasBudget := dualvdd.JobBudget(ctx)
-	if hasBudget && budget <= 0 {
-		c.mu.Lock()
-		c.metrics.BudgetRejects++
-		c.mu.Unlock()
-		return "", dualvdd.ErrBudgetExhausted
-	}
-	key, err := job.Key() // validates
-	if err != nil {
-		return "", err
-	}
-	group, err := job.GroupKey()
-	if err != nil {
-		return "", err
-	}
 	tenant := dualvdd.TenantFromContext(ctx)
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return "", dualvdd.ErrClosed
-	}
-	// Submission is idempotent on the job's content address while a matching
-	// job is in flight: a retried POST whose first attempt landed (only the
-	// response died in transit) is answered with the live job's ID. Checked
-	// before admission, so the retry is not charged against the tenant's
-	// quota or rate a second time.
-	if prior, ok := c.inflight[key]; ok {
-		c.metrics.SubmitDedups++
-		c.mu.Unlock()
-		return prior, nil
-	}
-	c.mu.Unlock()
-
-	if err := c.admission.admit(tenant); err != nil {
-		c.mu.Lock()
-		c.metrics.AdmissionRejects++
-		if c.metrics.TenantRejects == nil {
-			c.metrics.TenantRejects = make(map[string]int64)
+	admit := func() (func(), error) {
+		if err := c.admission.admit(tenant); err != nil {
+			c.mu.Lock()
+			c.rejects++
+			if c.tenantRejects == nil {
+				c.tenantRejects = make(map[string]int64)
+			}
+			c.tenantRejects[tenant]++
+			c.mu.Unlock()
+			return nil, err
 		}
-		c.metrics.TenantRejects[tenant]++
-		c.mu.Unlock()
-		return "", err
+		return func() { c.admission.release(tenant) }, nil
 	}
-
-	// Like Local, the per-job context is detached from the Submit ctx but
-	// bounded by the remaining end-to-end budget when one is set.
-	var jctx context.Context
-	var jcancel context.CancelFunc
-	if hasBudget {
-		//lint:ctx-ok documented detachment above: jobs outlive Submit, budget-bounded
-		jctx, jcancel = context.WithTimeout(context.Background(), budget)
-	} else {
-		//lint:ctx-ok documented detachment above: jobs outlive Submit, Cancel/Close-bounded
-		jctx, jcancel = context.WithCancel(context.Background())
-	}
-	j := &fleetJob{
-		spec: job, key: key, group: group, tenant: tenant, budgeted: hasBudget,
-		ctx: jctx, cancel: jcancel,
-		update: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-
-	// The cache lookup happens outside c.mu: a disk CAS does I/O and the
-	// interface carries its own synchronization. Backend read errors count on
-	// StoreErrors instead of vanishing into the miss count.
-	entry, _, cacheErr := dualvdd.CacheGet(c.cache, key)
-	if cacheErr != nil {
-		c.mu.Lock()
-		c.metrics.StoreErrors++
-		c.mu.Unlock()
-	}
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		jcancel()
-		c.admission.release(tenant)
-		return "", dualvdd.ErrClosed
-	}
-	// Re-check under the lock that publishes in-flight jobs: a concurrent
-	// twin may have won the race while the cache lookup ran unlocked.
-	if prior, ok := c.inflight[key]; ok {
-		c.metrics.SubmitDedups++
-		c.mu.Unlock()
-		jcancel()
-		c.admission.release(tenant)
-		return prior, nil
-	}
-	c.order++
-	j.seq = c.order
-	id := dualvdd.JobID(fmt.Sprintf("job-%06d-%s", j.seq, key[:8]))
-	j.status = dualvdd.JobStatus{ID: id, State: dualvdd.JobQueued}
-	c.jobs[id] = j
-	if entry != nil {
-		c.metrics.CacheHits++
-		c.metrics.JobsDone++
-		c.mu.Unlock()
-		c.admission.release(tenant)
-		c.completeFromCache(j, entry)
-		return id, nil
-	}
-	c.metrics.CacheMisses++
-	c.metrics.JobsQueued++
-	c.metrics.PointsInFlight++
-	if job.Config.NumRails() > 2 {
-		c.metrics.MultiRailJobs++
-	}
-	c.inflight[key] = id
-	c.mu.Unlock()
-
-	c.wg.Add(1)
-	go c.drive(j)
-	return id, nil
+	return c.JobTable.Submit(ctx, job, admit, func(h *dualvdd.JobHandle) error {
+		c.wg.Add(1)
+		go c.drive(h, h.Spec())
+		return nil
+	})
 }
 
-// completeFromCache finishes a job with a cached result, replaying the same
-// synthetic event history Local does.
-func (c *Coordinator) completeFromCache(j *fleetJob, entry *dualvdd.CachedResult) {
-	design := *entry.Design
-	st := *j.snapshot()
-	st.State = dualvdd.JobDone
-	st.Cached = true
-	st.Design = &design
-	st.Results = entry.Results
-	j.mu.Lock()
-	j.events = append(j.events, dualvdd.EventMapped{
-		Circuit: design.Name, Gates: design.Gates,
-		MinDelay: design.MinDelay, Tspec: design.Tspec, OrgPower: design.OrgPower,
-	})
-	for _, res := range entry.Results {
-		j.events = append(j.events, dualvdd.EventResult{Circuit: design.Name, Result: res})
-	}
-	j.mu.Unlock()
-	c.retire(j, st)
-	j.finish(st)
+// cancelled is the outcome of a job whose context ended.
+var cancelled = dualvdd.JobOutcome{State: dualvdd.JobCancelled, Error: context.Canceled.Error()}
+
+// failed is the outcome of a job the fleet could not serve.
+func failed(msg string) dualvdd.JobOutcome {
+	return dualvdd.JobOutcome{State: dualvdd.JobFailed, Error: msg}
 }
 
 // drive owns one job end to end: dispatch to the ring-chosen worker, relay
@@ -548,26 +416,29 @@ func (c *Coordinator) completeFromCache(j *fleetJob, entry *dualvdd.CachedResult
 // dispatch kills its worker (poison), and the dispatch patience bounds how
 // long a job waits for any worker to become eligible before it is failed
 // undeliverable — within the window a healed partition or a recovered
-// worker picks it back up.
-func (c *Coordinator) drive(j *fleetJob) {
+// worker picks it back up. spec is the job as submitted, copied before the
+// table can retire it.
+func (c *Coordinator) drive(h *dualvdd.JobHandle, spec dualvdd.Job) {
 	defer c.wg.Done()
+	ctx := h.Context()
 	tried := map[string]bool{}
 	lastErr := errors.New("no live workers")
 	var patience time.Time // zero until the first no-worker moment
+	attempts := 0          // dispatch attempts that killed their worker
+	relayed := 0           // events delivered so far, for replay dedup across re-dispatch
 	for {
-		if j.ctx.Err() != nil {
-			c.finalize(j, dualvdd.JobCancelled, context.Canceled.Error())
+		if ctx.Err() != nil {
+			h.Finish(cancelled)
 			return
 		}
-		if j.attempts >= c.redispatchBudget {
+		if attempts >= c.redispatchBudget {
 			c.mu.Lock()
-			c.metrics.QuarantinedJobs++
+			c.quarantined++
 			c.mu.Unlock()
-			c.finalize(j, dualvdd.JobFailed,
-				fmt.Sprintf("%v (%d attempts, last: %v)", ErrJobPoisoned, j.attempts, lastErr))
+			h.Finish(failed(fmt.Sprintf("%v (%d attempts, last: %v)", ErrJobPoisoned, attempts, lastErr)))
 			return
 		}
-		w := c.pickWorker(j.group, tried)
+		w := c.pickWorker(h.Group(), tried)
 		if w == nil {
 			if patience.IsZero() {
 				//lint:wallclock-ok delivery patience window; scheduling only, never in results
@@ -575,7 +446,7 @@ func (c *Coordinator) drive(j *fleetJob) {
 			}
 			//lint:wallclock-ok delivery patience window; scheduling only, never in results
 			if !time.Now().Before(patience) {
-				c.finalize(j, dualvdd.JobFailed, fmt.Sprintf("fleet: job undeliverable: %v", lastErr))
+				h.Finish(failed(fmt.Sprintf("fleet: job undeliverable: %v", lastErr)))
 				return
 			}
 			// Wait for a recovery, then rebuild the candidate set: a tried
@@ -586,9 +457,9 @@ func (c *Coordinator) drive(j *fleetJob) {
 				wait = 10 * time.Millisecond
 			}
 			select {
-			case <-j.ctx.Done():
+			case <-ctx.Done():
 			case <-c.stop:
-				c.finalize(j, dualvdd.JobFailed, fmt.Sprintf("fleet: job undeliverable: %v", lastErr))
+				h.Finish(failed(fmt.Sprintf("fleet: job undeliverable: %v", lastErr)))
 				return
 			//lint:wallclock-ok recovery wait between delivery attempts; pacing only
 			case <-time.After(wait):
@@ -597,12 +468,12 @@ func (c *Coordinator) drive(j *fleetJob) {
 			continue
 		}
 		patience = time.Time{}
-		if len(tried) > 0 || j.attempts > 0 {
+		if len(tried) > 0 || attempts > 0 {
 			c.mu.Lock()
-			c.metrics.Redispatches++
+			c.redispatches++
 			c.mu.Unlock()
 		}
-		done, err := c.runOn(w, j)
+		done, err := c.runOn(w, h, spec, &relayed)
 		if done {
 			c.reportWorker(w, true)
 			return
@@ -612,65 +483,71 @@ func (c *Coordinator) drive(j *fleetJob) {
 		// arc.
 		lastErr = err
 		tried[w.name] = true
-		j.attempts++
+		attempts++
 		c.reportWorker(w, false)
 	}
 }
 
 // runOn executes the job on one worker. It returns done=true when the job
-// was finalized (any terminal outcome, including cancellation) and
-// done=false with the error when the worker failed and the job should move
-// on.
-func (c *Coordinator) runOn(w *workerState, j *fleetJob) (bool, error) {
-	cancelled := func() bool { return j.ctx.Err() != nil }
+// was finished (any terminal outcome, including cancellation) and done=false
+// with the error when the worker failed and the job should move on. relayed
+// counts the events already published across dispatches.
+func (c *Coordinator) runOn(w *workerState, h *dualvdd.JobHandle, spec dualvdd.Job, relayed *int) (bool, error) {
+	ctx := h.Context()
+	// stopRemote best-effort cancels the orphaned job on the worker.
+	stopRemote := func(rid dualvdd.JobID) {
+		stopCtx, stopCancel := context.WithTimeout(context.Background(), time.Second)
+		_ = w.runner.Cancel(stopCtx, rid)
+		stopCancel()
+	}
 
 	// Forward the job's remaining end-to-end budget, shrunk by the per-hop
 	// reserve: the worker sees what is left after this hop's overhead, and a
 	// budget that dies in transit is rejected at the worker's admission
-	// instead of computing a result nobody can collect.
-	wctx := j.ctx
-	if j.budgeted {
-		if dl, ok := j.ctx.Deadline(); ok {
-			//lint:wallclock-ok forwarding the wall-time budget seam; see dualvdd.WithJobBudget
-			wctx = dualvdd.WithJobBudget(j.ctx, time.Until(dl)-c.hopBudget)
-		}
+	// instead of computing a result nobody can collect. Only a budgeted job's
+	// context carries a deadline.
+	wctx := ctx
+	if dl, ok := ctx.Deadline(); ok {
+		//lint:wallclock-ok forwarding the wall-time budget seam; see dualvdd.WithJobBudget
+		wctx = dualvdd.WithJobBudget(ctx, time.Until(dl)-c.hopBudget)
 	}
 
-	rid, err := w.runner.Submit(wctx, j.spec)
+	rid, err := w.runner.Submit(wctx, spec)
 	if err != nil {
-		if cancelled() {
-			c.finalize(j, dualvdd.JobCancelled, context.Canceled.Error())
+		if ctx.Err() != nil {
+			h.Finish(cancelled)
 			return true, nil
 		}
 		return false, err
 	}
-	j.markRunning(c)
+	if !h.Start() {
+		// Cancelled while it was queued: the table already finished it.
+		stopRemote(rid)
+		return true, nil
+	}
 
 	// Relay the worker's event stream onto the job's log. Re-dispatched jobs
 	// recompute deterministically, so the replacement worker replays the
 	// identical event prefix — the relayed counter skips what subscribers
 	// already saw and delivery stays exactly-once across worker deaths.
-	events, err := w.runner.Watch(j.ctx, rid)
+	events, err := w.runner.Watch(ctx, rid)
 	if err == nil {
 		n := 0
 		for ev := range events {
 			n++
-			if n <= j.relayed {
+			if n <= *relayed {
 				continue
 			}
-			j.publish(ev)
-			j.relayed++
+			h.Publish(ev)
+			*relayed++
 		}
 	}
 
-	st, err := w.runner.Result(j.ctx, rid)
+	st, err := w.runner.Result(ctx, rid)
 	if err != nil {
-		if cancelled() {
-			// Best-effort: stop the orphan on the worker.
-			stopCtx, stopCancel := context.WithTimeout(context.Background(), time.Second)
-			_ = w.runner.Cancel(stopCtx, rid)
-			stopCancel()
-			c.finalize(j, dualvdd.JobCancelled, context.Canceled.Error())
+		if ctx.Err() != nil {
+			stopRemote(rid)
+			h.Finish(cancelled)
 			return true, nil
 		}
 		return false, err
@@ -678,27 +555,17 @@ func (c *Coordinator) runOn(w *workerState, j *fleetJob) (bool, error) {
 
 	switch st.State {
 	case dualvdd.JobDone:
-		if err := dualvdd.CachePut(c.cache, &dualvdd.CachedResult{Key: j.key, Design: st.Design, Results: st.Results}); err != nil {
-			c.mu.Lock()
-			c.metrics.StoreErrors++
-			c.mu.Unlock()
-		}
-		j.mu.Lock()
-		j.status.Design = st.Design
-		j.status.Results = st.Results
-		j.mu.Unlock()
-		c.accountResults(st)
-		c.finalize(j, dualvdd.JobDone, "")
+		// A result the worker itself served from its cache adds no
+		// evaluation totals — no computation happened anywhere — which keeps
+		// the eval counters an honest proof of work done.
+		h.Finish(dualvdd.JobOutcome{State: dualvdd.JobDone, Design: st.Design, Results: st.Results, Reused: st.Cached})
 		return true, nil
 	case dualvdd.JobFailed:
-		j.mu.Lock()
-		j.status.Design = st.Design
-		j.mu.Unlock()
-		c.finalize(j, dualvdd.JobFailed, st.Error)
+		h.Finish(dualvdd.JobOutcome{State: dualvdd.JobFailed, Error: st.Error, Design: st.Design})
 		return true, nil
 	default: // cancelled on the worker
-		if cancelled() {
-			c.finalize(j, dualvdd.JobCancelled, context.Canceled.Error())
+		if ctx.Err() != nil {
+			h.Finish(cancelled)
 			return true, nil
 		}
 		// The worker cancelled a job we did not: it is draining. Move on.
@@ -706,275 +573,18 @@ func (c *Coordinator) runOn(w *workerState, j *fleetJob) (bool, error) {
 	}
 }
 
-// accountResults adds an executed (non-cached) job's evaluation totals to
-// the metrics. A result the worker itself served from cache adds nothing —
-// no computation happened anywhere — which keeps the eval counters an
-// honest proof of work done.
-func (c *Coordinator) accountResults(st *dualvdd.JobStatus) {
-	if st.Cached {
-		return
-	}
-	c.mu.Lock()
-	for _, r := range st.Results {
-		c.metrics.STAEvals += r.STAEvals
-		c.metrics.CandEvals += r.CandEvals
-		c.metrics.SimNs += r.SimTime.Nanoseconds()
-	}
-	c.mu.Unlock()
-}
-
-// markRunning moves the job queued → running exactly once.
-func (j *fleetJob) markRunning(c *Coordinator) {
-	j.mu.Lock()
-	if j.status.State != dualvdd.JobQueued {
-		j.mu.Unlock()
-		return
-	}
-	j.status.State = dualvdd.JobRunning
-	j.bump()
-	j.mu.Unlock()
-	c.mu.Lock()
-	c.metrics.JobsQueued--
-	c.metrics.JobsRunning++
-	c.mu.Unlock()
-}
-
-// finalize settles the gauges, releases the tenant's admission slot, retires
-// the job and then publishes its terminal state. The result cache is already
-// written (runOn puts before it finalizes).
-func (c *Coordinator) finalize(j *fleetJob, state dualvdd.JobState, errMsg string) {
-	st := *j.snapshot()
-	wasRunning := st.State == dualvdd.JobRunning
-	st.State = state
-	st.Error = errMsg
-
-	c.mu.Lock()
-	if wasRunning {
-		c.metrics.JobsRunning--
-	} else {
-		c.metrics.JobsQueued--
-	}
-	c.metrics.PointsInFlight--
-	switch state {
-	case dualvdd.JobDone:
-		c.metrics.JobsDone++
-	case dualvdd.JobCancelled:
-		c.metrics.JobsCancelled++
-	default:
-		c.metrics.JobsFailed++
-	}
-	c.mu.Unlock()
-	c.admission.release(j.tenant)
-	c.retire(j, st)
-	j.finish(st)
-}
-
-// retire journals the terminal status, releases the in-flight slot and
-// enforces the history bound — before the status is published, so whoever
-// observes it and resubmits finds the cache entry instead of deduping onto
-// the finished job.
-func (c *Coordinator) retire(j *fleetJob, st dualvdd.JobStatus) {
-	j.spec.BLIF = ""
-	if c.journal != nil {
-		if err := c.journal.Append(dualvdd.JobRecord{Seq: j.seq, Key: j.key, Status: st}); err != nil {
-			c.mu.Lock()
-			c.metrics.StoreErrors++
-			c.mu.Unlock()
-		}
-	}
-	c.mu.Lock()
-	// The job is terminal: later identical submissions must start fresh (or
-	// hit the result cache), not adopt this carcass.
-	if cur, ok := c.inflight[j.key]; ok && cur == st.ID {
-		delete(c.inflight, j.key)
-	}
-	c.retired = append(c.retired, st.ID)
-	for len(c.retired) > c.history {
-		delete(c.jobs, c.retired[0])
-		c.retired = c.retired[1:]
-	}
-	c.mu.Unlock()
-}
-
-// replayJournal mirrors Local's: journaled terminal jobs become queryable
-// history and the submission counter resumes past them.
-//
-//lint:unguarded-ok construction: called from New before the health loop starts
-func (c *Coordinator) replayJournal() {
-	type replayed struct {
-		seq int64
-		rec dualvdd.JobRecord
-	}
-	var recs []replayed
-	err := c.journal.Replay(func(rec dualvdd.JobRecord) error {
-		if rec.Status.ID == "" || !rec.Status.State.Terminal() {
-			return nil
-		}
-		recs = append(recs, replayed{seq: rec.Seq, rec: rec})
-		if rec.Seq > c.order {
-			c.order = rec.Seq
-		}
-		return nil
-	})
-	if err != nil {
-		c.metrics.StoreErrors++
-	}
-	if len(recs) > c.history {
-		recs = recs[len(recs)-c.history:]
-	}
-	for _, r := range recs {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		j := &fleetJob{
-			key: r.rec.Key, seq: r.seq,
-			ctx: ctx, cancel: cancel,
-			status: r.rec.Status,
-			update: make(chan struct{}),
-			done:   make(chan struct{}),
-		}
-		close(j.done)
-		c.jobs[r.rec.Status.ID] = j
-		c.retired = append(c.retired, r.rec.Status.ID)
-	}
-}
-
-// bump wakes Watch subscribers; caller holds j.mu.
-func (j *fleetJob) bump() {
-	close(j.update)
-	j.update = make(chan struct{})
-}
-
-// finish publishes a terminal status: Watch subscribers wake and Result
-// returns.
-func (j *fleetJob) finish(st dualvdd.JobStatus) {
-	j.mu.Lock()
-	j.status = st
-	j.bump()
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
-}
-
-// publish appends one event to the job's log.
-func (j *fleetJob) publish(ev dualvdd.Event) {
-	j.mu.Lock()
-	j.events = append(j.events, ev)
-	j.bump()
-	j.mu.Unlock()
-}
-
-// snapshot copies the current status.
-func (j *fleetJob) snapshot() *dualvdd.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := j.status
-	return &st
-}
-
-// find looks a job up.
-func (c *Coordinator) find(id dualvdd.JobID) (*fleetJob, error) {
+// Metrics returns the coordinator's counters snapshot: the job table's
+// counters plus the fleet-level ones. PointsInFlight — accepted jobs not yet
+// terminal — is JobsQueued + JobsRunning by construction.
+func (c *Coordinator) Metrics() dualvdd.Metrics {
+	m := c.JobTable.Metrics()
+	m.PointsInFlight = m.JobsQueued + m.JobsRunning
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", dualvdd.ErrJobNotFound, id)
-	}
-	return j, nil
-}
-
-// Status reports the job without waiting. See dualvdd.Runner.
-func (c *Coordinator) Status(ctx context.Context, id dualvdd.JobID) (*dualvdd.JobStatus, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	j, err := c.find(id)
-	if err != nil {
-		return nil, err
-	}
-	return j.snapshot(), nil
-}
-
-// Result blocks until the job is terminal. See dualvdd.Runner.
-func (c *Coordinator) Result(ctx context.Context, id dualvdd.JobID) (*dualvdd.JobStatus, error) {
-	j, err := c.find(id)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.done:
-		return j.snapshot(), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Watch streams the job's relayed events: full replay, then live until
-// terminal. See dualvdd.Runner.
-func (c *Coordinator) Watch(ctx context.Context, id dualvdd.JobID) (<-chan dualvdd.Event, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	j, err := c.find(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan dualvdd.Event)
-	go func() {
-		defer close(out)
-		next := 0
-		for {
-			j.mu.Lock()
-			pending := j.events[next:]
-			next = len(j.events)
-			update := j.update
-			terminal := j.status.State.Terminal()
-			j.mu.Unlock()
-			for _, ev := range pending {
-				select {
-				case out <- ev:
-				case <-ctx.Done():
-					return
-				}
-			}
-			if terminal && len(pending) == 0 {
-				return
-			}
-			if terminal {
-				continue
-			}
-			select {
-			case <-update:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out, nil
-}
-
-// Cancel stops a queued or running job by firing its context; the driver
-// records the terminal state. See dualvdd.Runner.
-func (c *Coordinator) Cancel(ctx context.Context, id dualvdd.JobID) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	j, err := c.find(id)
-	if err != nil {
-		return err
-	}
-	j.cancel()
-	return nil
-}
-
-// Metrics returns the coordinator's counters snapshot, including the
-// fleet-level gauges.
-func (c *Coordinator) Metrics() dualvdd.Metrics {
-	c.mu.Lock()
-	m := c.metrics
-	if m.TenantRejects != nil {
-		m.TenantRejects = maps.Clone(m.TenantRejects)
-	}
-	m.WorkersLive, m.WorkersDead = 0, 0
+	m.Redispatches = c.redispatches
+	m.QuarantinedJobs = c.quarantined
+	m.AdmissionRejects = c.rejects
+	m.TenantRejects = maps.Clone(c.tenantRejects)
 	//lint:nondeterministic-ok commutative counting; the gauges are order-free
 	for _, w := range c.workers {
 		if w.state == breakerClosed {
@@ -984,12 +594,6 @@ func (c *Coordinator) Metrics() dualvdd.Metrics {
 			// the gauge answers "how many workers would I trust right now".
 			m.WorkersDead++
 		}
-	}
-	c.mu.Unlock()
-	m.CacheEntries = c.cache.Len()
-	m.CacheBytes = c.cache.Bytes()
-	if d, ok := c.cache.(interface{ Degraded() bool }); ok && d.Degraded() {
-		m.StoreDegraded = 1
 	}
 	return m
 }
@@ -1008,33 +612,15 @@ func (c *Coordinator) Workers() map[string]bool {
 }
 
 // Close stops admission and the health loop, then waits for in-flight
-// drivers. The ctx bounds the wait: on expiry every remaining job is
-// cancelled and Close returns ctx.Err() after the drivers exit.
+// drivers. The ctx bounds the wait: on expiry queued jobs are cancelled on
+// the spot, running ones through their contexts, and Close returns
+// ctx.Err() after the drivers exit.
 func (c *Coordinator) Close(ctx context.Context) error {
-	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
+	return c.JobTable.Close(ctx, func() {
 		close(c.stop)
-	}
-	jobs := make([]*fleetJob, 0, len(c.jobs))
-	//lint:nondeterministic-ok shutdown cancels every job; cancellation order is immaterial
-	for _, j := range c.jobs {
-		jobs = append(jobs, j)
-	}
-	c.mu.Unlock()
-	idle := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(idle)
-	}()
-	select {
-	case <-idle:
-		return nil
-	case <-ctx.Done():
-		for _, j := range jobs {
-			j.cancel()
-		}
-		<-idle
-		return ctx.Err()
-	}
+		go func() {
+			c.wg.Wait()
+			close(c.idle)
+		}()
+	}, c.idle)
 }

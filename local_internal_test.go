@@ -72,8 +72,8 @@ func TestJobsQueuedGaugeDropsAtCancel(t *testing.T) {
 	}
 
 	// Let everything finish; dequeuing the carcasses must not decrement
-	// again. The worker's metrics epilogue runs after it signals the job
-	// done, so poll for the idle state instead of racing it.
+	// again (the table's Start fails on a terminal job). Poll for the idle
+	// state rather than assume when the worker gets to them.
 	if err := l.Cancel(ctx, running); err != nil {
 		t.Fatal(err)
 	}
@@ -138,21 +138,23 @@ func TestRetireFreesParsedNetwork(t *testing.T) {
 		}
 	}
 
-	// retire frees the input before it appends the ID to l.retired under
-	// l.mu, so once the ID shows up there the nil writes are visible here.
+	// The table's retire frees the input under its lock, before it appends
+	// the ID to its retired list, so once the ID shows up there the nil
+	// writes are visible here.
+	table := l.JobTable
 	deadline := time.Now().Add(time.Minute)
 	for _, id := range []JobID{computed, hit} {
 		for {
-			l.mu.Lock()
+			table.mu.Lock()
 			seen := false
-			for _, rid := range l.retired {
+			for _, rid := range table.retired {
 				if rid == id {
 					seen = true
 					break
 				}
 			}
-			j := l.jobs[id]
-			l.mu.Unlock()
+			j := table.jobs[id]
+			table.mu.Unlock()
 			if seen {
 				if j == nil {
 					t.Fatalf("job %s missing from history", id)

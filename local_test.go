@@ -352,6 +352,61 @@ func TestLocalCloseDrainsQueuedJobs(t *testing.T) {
 	}
 }
 
+// TestLocalCloseExpiredCancelsQueued: a Close whose ctx has already expired
+// finishes the queued jobs as cancelled on the spot, the way Cancel does, so
+// the worker that later dequeues them builds nothing for them; only the
+// running job's warm group was ever built.
+func TestLocalCloseExpiredCancelsQueued(t *testing.T) {
+	ctx := context.Background()
+	l := dualvdd.NewLocal(dualvdd.LocalWorkers(1), dualvdd.LocalQueueDepth(8))
+	running, err := l.Submit(ctx, dualvdd.BenchmarkJob("des", dualvdd.WithSimWords(4096)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for {
+		st, err := l.Status(ctx, running)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == dualvdd.JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started: %s", st.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	ids := []dualvdd.JobID{running}
+	for i := 0; i < 3; i++ {
+		id, err := l.Submit(ctx, dualvdd.BenchmarkJob("C880", dualvdd.WithSeed(uint64(i+2))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+
+	expired, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := l.Close(expired); !errors.Is(err, context.Canceled) {
+		t.Fatalf("close past its deadline returned %v, want context.Canceled", err)
+	}
+	for _, id := range ids {
+		st, err := l.Status(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != dualvdd.JobCancelled {
+			t.Fatalf("job %s ended %s, want cancelled", id, st.State)
+		}
+	}
+	m := l.Metrics()
+	if m.PrepBuilds != 1 || m.JobsCancelled != 4 {
+		t.Fatalf("PrepBuilds=%d JobsCancelled=%d, want 1 and 4: Close built warm groups for jobs that never started",
+			m.PrepBuilds, m.JobsCancelled)
+	}
+}
+
 func TestLocalJobHistoryEviction(t *testing.T) {
 	ctx := context.Background()
 	l := dualvdd.NewLocal(dualvdd.LocalJobHistory(1), dualvdd.LocalCacheEntries(0))

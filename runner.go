@@ -170,33 +170,50 @@ func (j Job) network() (*logic.Network, error) {
 // excluded. Anything that can steer the flow stays significant: signal
 // names, node and cube order, and of course the netlist itself.
 func (j Job) Key() (string, error) {
-	key, _, err := j.key()
+	key, _, _, err := j.keys()
 	return key, err
 }
 
-// key computes the content address and returns the parsed network alongside,
-// so Submit materializes the circuit exactly once.
-func (j Job) key() (string, *logic.Network, error) {
+// GroupKey returns the job's placement address: like Key, but with Vlow and
+// the algorithm list excluded (and SimWorkers, as always). It is exactly the
+// warm-prep grouping of a Local runner — every point of one circuit's
+// low-rail sweep shares a GroupKey and one WarmDesign — which is why a fleet
+// coordinator shards on it: repeat traffic for one circuit lands on the
+// worker whose prepared state is already warm for it. The mapping, the
+// timing constraint, the activity table and the original power are all
+// properties of the circuit under the high rail, never of the low one (the
+// library is retargeted per point via AtRails), and one prepared state serves
+// any algorithm. A multi-rail config keeps its full Rails list in the group
+// address, so points with distinct rail tables keep distinct affinity.
+func (j Job) GroupKey() (string, error) {
+	_, group, _, err := j.keys()
+	return group, err
+}
+
+// keys validates the job and computes its content address and its placement
+// address from one parse and one canonical emit, returning the parsed network
+// alongside so a runner materializes the circuit exactly once.
+func (j Job) keys() (key, group string, net *logic.Network, err error) {
 	if err := j.Validate(); err != nil {
-		return "", nil, err
+		return "", "", nil, err
 	}
-	net, err := j.network()
+	net, err = j.network()
 	if err != nil {
-		return "", nil, err
+		return "", "", nil, err
 	}
 	var canon bytes.Buffer
 	if err := blif.WriteNetwork(&canon, net); err != nil {
-		return "", nil, err
+		return "", "", nil, err
 	}
 	// SimWorkers is a scheduling knob with a bit-identical-results
-	// guarantee, so it must not split the content address. The config is
-	// hashed in canonical form: a two-entry Rails folds into Vhigh/Vlow
+	// guarantee, so it must not split either address. The config is hashed
+	// in canonical form: a two-entry Rails folds into Vhigh/Vlow
 	// (Normalized), so `Rails: [5.0, 4.3]` shares the legacy pair's address.
 	hashCfg := j.Config.Normalized()
 	hashCfg.SimWorkers = 0
 	cfg, err := json.Marshal(hashCfg)
 	if err != nil {
-		return "", nil, err
+		return "", "", nil, err
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "dualvdd-job/1\n%s\n", cfg)
@@ -205,23 +222,16 @@ func (j Job) key() (string, *logic.Network, error) {
 	}
 	h.Write([]byte{'\n'})
 	h.Write(canon.Bytes())
-	return hex.EncodeToString(h.Sum(nil)), net, nil
-}
+	key = hex.EncodeToString(h.Sum(nil))
 
-// GroupKey returns the job's placement address: like Key, but with Vlow and
-// the algorithm list excluded (and SimWorkers, as always). It is exactly the
-// warm-prep grouping of a Local runner — every point of one circuit's
-// low-rail sweep shares a GroupKey — which is why a fleet coordinator shards
-// on it: repeat traffic for one circuit lands on the worker whose prepared
-// state is already warm for it. A multi-rail config keeps its full Rails
-// list in the group address, so points with distinct rail tables keep
-// distinct affinity.
-func (j Job) GroupKey() (string, error) {
-	_, net, err := j.key()
-	if err != nil {
-		return "", err
+	hashCfg.Vlow = 0
+	if cfg, err = json.Marshal(hashCfg); err != nil {
+		return "", "", nil, err
 	}
-	return warmPrepKey(net, j.Config)
+	h = sha256.New()
+	fmt.Fprintf(h, "dualvdd-warmprep/1\n%s\n", cfg)
+	h.Write(canon.Bytes())
+	return key, hex.EncodeToString(h.Sum(nil)), net, nil
 }
 
 // tenantKey is the context key of WithTenant.

@@ -1,15 +1,10 @@
 package dualvdd
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sync"
 
-	"dualvdd/internal/blif"
 	"dualvdd/internal/logic"
 	"dualvdd/internal/netlist"
 	"dualvdd/internal/sta"
@@ -128,33 +123,4 @@ func (w *WarmDesign) RunAt(ctx context.Context, rails []float64, algos []Algorit
 func (w *WarmDesign) fenced(ctx context.Context, algo Algorithm, obs Observer) (*FlowResult, error) {
 	defer w.inc.Rollback(w.inc.Checkpoint())
 	return w.Design.runOne(ctx, w.inc, w.work, algo, obs, false)
-}
-
-// warmPrepKey is the content address of a warm-prep group: jobs with the same
-// key share one WarmDesign. It hashes the canonical BLIF of the input network
-// and the Config with Vlow and SimWorkers zeroed — the mapping, the timing
-// constraint, the activity table and the original power are all properties of
-// the circuit under the high rail, never of the low one (the library is
-// retargeted per point via AtRails), and SimWorkers is a pure scheduling knob.
-// The algorithm list is excluded too: one prepared state serves any algorithm.
-// The config is hashed in canonical form, so a two-entry Rails groups exactly
-// like the legacy pair; a longer Rails list stays in the address — multi-rail
-// points share prepared state (and fleet placement) only with points on the
-// same rail table.
-func warmPrepKey(net *logic.Network, cfg Config) (string, error) {
-	var canon bytes.Buffer
-	if err := blif.WriteNetwork(&canon, net); err != nil {
-		return "", err
-	}
-	hashCfg := cfg.Normalized()
-	hashCfg.Vlow = 0
-	hashCfg.SimWorkers = 0
-	b, err := json.Marshal(hashCfg)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "dualvdd-warmprep/1\n%s\n", b)
-	h.Write(canon.Bytes())
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
